@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-metrics check bench bench-smoke profile difftest difftest-spill difftest-shuffle difftest-scan difftest-query difftest-compact fuzz-smoke
+.PHONY: all build test race vet vet-metrics check bench bench-smoke profile difftest difftest-spill difftest-shuffle difftest-scan difftest-query difftest-compact fuzz-smoke stress e2e
 
 all: check
 
@@ -86,6 +86,46 @@ difftest-query:
 #   go test ./internal/difftest/ -run CompactDifferential -difftest.encoding -difftest.seed=<seed> -v
 difftest-compact:
 	$(GO) test -race ./internal/difftest/ -run CompactDifferential -v -difftest.n=$(DIFFTEST_N)
+
+# Ordering-bug gate: STRESS_N concurrent copies of the internal/cluster
+# and internal/difftest suites, each pinned to GOMAXPROCS=1, so the
+# scheduler produces interleavings a lightly loaded machine never does
+# (a map push racing its owner's shuffle begin, a stage-end watcher
+# running late). Each package's copies run together; every copy must
+# pass. Logs of failing copies are printed; all logs stay in STRESS_DIR.
+STRESS_N ?= 8
+STRESS_DIR ?= .stress
+stress:
+	@mkdir -p $(STRESS_DIR)
+	$(GO) test -c -o $(STRESS_DIR)/cluster.test ./internal/cluster
+	$(GO) test -c -o $(STRESS_DIR)/difftest.test ./internal/difftest
+	@dir=$$(cd $(STRESS_DIR) && pwd); failed=0; \
+	for pkg in cluster difftest; do \
+		pids=""; \
+		for i in $$(seq $(STRESS_N)); do \
+			(cd internal/$$pkg && GOMAXPROCS=1 $$dir/$$pkg.test >$$dir/$$pkg.$$i.log 2>&1) & \
+			pids="$$pids $$!"; \
+		done; \
+		i=0; \
+		for p in $$pids; do \
+			i=$$((i+1)); \
+			if ! wait $$p; then failed=$$((failed+1)); echo "--- stress: $$pkg copy $$i failed"; grep -E -A8 -- '--- FAIL|panic:' $$dir/$$pkg.$$i.log | head -40; fi; \
+		done; \
+		echo "stress: $$pkg x$(STRESS_N) at GOMAXPROCS=1 done"; \
+	done; \
+	test $$failed -eq 0 || { echo "stress: $$failed copies failed"; exit 1; }
+
+# End-to-end benchmark (e2ebench/, docs/PERFORMANCE.md): one run per
+# workload — Algorithm 1 on LIG locally, on SYN over a 2-executor TCP
+# cluster, and the served-query mix — each printing its end-to-end and
+# per-layer metrics. E2E_TRACE=1 runs the traced variant.
+E2E_SEED ?= 1
+E2E_SECONDS ?= 25
+E2E_TRACE ?= 0
+e2e:
+	for w in lig-local syn-cluster serve-mixed; do \
+		bash e2ebench/run.sh --workload $$w --seed $(E2E_SEED) --seconds $(E2E_SECONDS) --trace $(E2E_TRACE) || exit 1; \
+	done
 
 # Short fuzz pass over every fuzz target, seeded from the checked-in
 # corpora under */testdata/fuzz/.

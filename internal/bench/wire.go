@@ -71,7 +71,12 @@ type WireResult struct {
 	// (with the full broadcast table embedded) and row-wise partitions,
 	// plus gob result rows — exactly what the pre-v3 protocol sent.
 	// Encoded through one gob stream, so type descriptors are charged
-	// once (conservative: favors v2).
+	// once (conservative: favors v2). The rows gob-encode today's
+	// relation.Value {K, N, S}, not the {K, I, F, S, B} cell v2 actually
+	// shipped (floats now go as raw bit words, not gob's byte-reversed
+	// floats), so the "wire" section of BENCH_engine.json recorded
+	// before the 32-byte cell is historical: a re-run measures a
+	// different v2 baseline.
 	V2BytesPerTask float64
 
 	// Reduction = V2BytesPerTask / V3BytesPerTask.

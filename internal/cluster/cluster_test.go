@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ivnt/internal/cluster/faultproxy"
 	"ivnt/internal/engine"
 	"ivnt/internal/relation"
 )
@@ -156,9 +157,9 @@ func TestClusterBroadcastJoin(t *testing.T) {
 	for _, r := range got.Rows() {
 		var want int64
 		if r[sidIdx].AsString() == "wpos" {
-			want = int64(r[lIdx].B[0])
+			want = int64(r[lIdx].B()[0])
 		} else {
-			want = int64(r[lIdx].B[1]) * 2
+			want = int64(r[lIdx].B()[1]) * 2
 		}
 		if r[vIdx].AsInt() != want {
 			t.Fatalf("interpreted %v, want %d (%v)", r[vIdx], want, r)
@@ -251,7 +252,9 @@ func TestClusterSurvivesOneDeadExecutor(t *testing.T) {
 func TestClusterRetryOnConnectionDrop(t *testing.T) {
 	// An adversarial executor that accepts, handshakes, then drops the
 	// first task connection mid-stream; a healthy executor must pick up
-	// the requeued partition.
+	// the requeued partition. The healthy executor answers through a
+	// slow link, so it cannot drain the whole stage before the
+	// adversary's slot has taken (and dropped) a task.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -260,6 +263,14 @@ func TestClusterRetryOnConnectionDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
+	slow, err := faultproxy.New(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	plan := faultproxy.Passthrough()
+	plan.Latency = 100 * time.Millisecond
+	slow.SetPlan(plan)
 
 	evil, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -292,7 +303,7 @@ func TestClusterRetryOnConnectionDrop(t *testing.T) {
 		}
 	}()
 
-	drv := &Driver{Addrs: []string{addrs[0], evil.Addr().String()}, MaxRetries: 3}
+	drv := &Driver{Addrs: []string{slow.Addr(), evil.Addr().String()}, MaxRetries: 3}
 	got, st, err := drv.RunStage(ctx, traceRel(200, 4), stageOps())
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +414,7 @@ func TestClusterLargePartitions(t *testing.T) {
 		t.Fatalf("rows = %d", out.NumRows())
 	}
 	lIdx := out.Schema.MustIndex("l")
-	got := out.Rows()[9999][lIdx].B
+	got := out.Rows()[9999][lIdx].B()
 	for i := range got {
 		if got[i] != byte(i) {
 			t.Fatalf("payload corrupted at byte %d", i)

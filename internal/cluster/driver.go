@@ -999,11 +999,24 @@ func (d *Driver) runSlot(ctx context.Context, addr string, sr *stageRun) {
 			// A persistent driver's watcher leaves idle connections open:
 			// they are not blocking anything and releaseConn pools them.
 			nc := c
-			stopWatch = context.AfterFunc(ctx, func() {
+			watched := make(chan struct{})
+			stop := context.AfterFunc(ctx, func() {
+				defer close(watched)
 				if !d.Persistent || nc.busy.Load() {
 					nc.close()
 				}
 			})
+			// A watcher that already started must finish before the
+			// connection moves on: run late, it would otherwise find
+			// the connection busy with the NEXT stage's task and close
+			// it out of the pool.
+			stopWatch = func() bool {
+				if stop() {
+					return true
+				}
+				<-watched
+				return false
+			}
 		}
 		var pi int
 		var ok bool

@@ -50,6 +50,16 @@ func TestPersistentDriverReusesConnections(t *testing.T) {
 	if st1.StagesShipped == 0 {
 		t.Fatalf("first run shipped no stages: %+v", st1)
 	}
+	// Stages ship lazily, at a connection's first task: a slot whose
+	// peer drained every partition before it finished dialing pools a
+	// connection that never saw the stage. Warm up until both pooled
+	// connections have shipped it once.
+	for shipped, runs := st1.StagesShipped, 1; shipped < 2; runs++ {
+		if runs == 20 {
+			t.Fatalf("one executor ran no task in %d stages", runs)
+		}
+		shipped += run().StagesShipped
+	}
 	drv.poolMu.Lock()
 	pooled := 0
 	for _, l := range drv.pool {

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -56,21 +56,8 @@ func bitEq(a, b *relation.Relation) bool {
 			return false
 		}
 		for ri := range pa {
-			if len(pa[ri]) != len(pb[ri]) {
+			if !slices.Equal(pa[ri], pb[ri]) { // cell == is bitwise
 				return false
-			}
-			for ci := range pa[ri] {
-				va, vb := pa[ri][ci], pb[ri][ci]
-				if va.K != vb.K {
-					return false
-				}
-				if va.K == relation.KindFloat {
-					if math.Float64bits(va.F) != math.Float64bits(vb.F) {
-						return false
-					}
-				} else if !reflect.DeepEqual(va, vb) {
-					return false
-				}
 			}
 		}
 	}

@@ -22,6 +22,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -358,11 +359,34 @@ func (mr *mapRun) abandon(pi int, cause error, addr string) {
 	}
 }
 
-// runMaps dispatches the given map tasks and blocks until all
-// committed or the round failed.
+// open begins the shuffle on every executor before any map task is
+// dispatched. Each executor's shuffle store is server-wide, so one
+// begin over its control connection covers every connection to it; a
+// map on one executor can then never push to a peer that has not yet
+// seen the begin (the per-connection ensureBegin only re-opens on
+// reconnect, e.g. after an executor restart).
+func (ss *shuffleSession) open(ctx context.Context) error {
+	errs := make([]error, len(ss.d.Addrs))
+	var wg sync.WaitGroup
+	for i, addr := range ss.d.Addrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = ss.withCtrl(ctx, addr, func(*conn) error { return nil })
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// runMaps opens the shuffle everywhere, then dispatches the given map
+// tasks and blocks until all committed or the round failed.
 func (ss *shuffleSession) runMaps(ctx context.Context, tasks []int) error {
 	if len(tasks) == 0 {
 		return nil
+	}
+	if err := ss.open(ctx); err != nil {
+		return err
 	}
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()

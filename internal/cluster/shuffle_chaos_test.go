@@ -292,3 +292,45 @@ func TestChaosShuffleExecutorKilled(t *testing.T) {
 		t.Fatalf("expected reconnects after the kill, stats = %+v", r.st)
 	}
 }
+
+// TestChaosShuffleSlowOwnerBegin pins the open-before-push ordering:
+// every response from executor 1's driver link is delayed, so its
+// driver-side begin lands long after executor 0 could have run a map
+// task and pushed to it (peers dial executor 1 directly). Opening the
+// shuffle lazily at each slot's first map made executor 0's pushes hit
+// "unknown shuffle" until the retry budget ran out; the driver must
+// instead open the shuffle on every owner before dispatching any map,
+// so the stage completes with no retries at all.
+func TestChaosShuffleSlowOwnerBegin(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	addrs, stop, err := StartLocalCluster(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	proxy, err := faultproxy.New(addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	plan := faultproxy.Passthrough()
+	plan.Latency = 150 * time.Millisecond
+	proxy.SetPlan(plan)
+
+	drv := &Driver{
+		Addrs:         []string{addrs[0], proxy.Addr()},
+		ShufflePeers:  addrs,
+		ReconnectBase: 10 * time.Millisecond,
+	}
+	rel := keyedRel(400, 4)
+	want := shuffleChaosWant(t, ctx, rel, nil, 4)
+	got, st, err := drv.ShuffleMaterialize(ctx, rel, nil, []string{"k"}, 4)
+	if err != nil {
+		t.Fatalf("slow owner begin aborted the stage: %v", err)
+	}
+	mustSamePartitioned(t, "slow owner begin", want, got)
+	if st.Retries != 0 {
+		t.Fatalf("pushes raced the owner's begin: %d retries, stats = %+v", st.Retries, st)
+	}
+}

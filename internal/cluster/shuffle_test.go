@@ -51,7 +51,7 @@ func labelsRel(n, parts int) *relation.Relation {
 
 func cellBitsCl(v relation.Value) string {
 	if v.K == relation.KindFloat {
-		return fmt.Sprintf("f%x", math.Float64bits(v.F))
+		return fmt.Sprintf("f%x", math.Float64bits(v.F()))
 	}
 	return fmt.Sprintf("%d:%s", v.K, v.AsString())
 }

@@ -220,8 +220,8 @@ func encodeColumn(w *bytes.Buffer, rows []relation.Row, ci int, scratch []byte) 
 
 	putUvarint := func(u uint64) { w.Write(scratch[:binary.PutUvarint(scratch, u)]) }
 	putVarint := func(i int64) { w.Write(scratch[:binary.PutVarint(scratch, i)]) }
-	putFloat := func(f float64) {
-		binary.LittleEndian.PutUint64(scratch[:8], math.Float64bits(f))
+	putFloatBits := func(bits uint64) {
+		binary.LittleEndian.PutUint64(scratch[:8], bits)
 		w.Write(scratch[:8])
 	}
 
@@ -234,17 +234,14 @@ func encodeColumn(w *bytes.Buffer, rows []relation.Row, ci int, scratch []byte) 
 			w.WriteByte(byte(v.K))
 			switch v.K {
 			case relation.KindBool:
-				w.WriteByte(byte(v.I & 1))
+				w.WriteByte(byte(v.N & 1))
 			case relation.KindInt:
-				putVarint(v.I)
+				putVarint(v.I())
 			case relation.KindFloat:
-				putFloat(v.F)
-			case relation.KindString:
+				putFloatBits(v.N)
+			case relation.KindString, relation.KindBytes:
 				putUvarint(uint64(len(v.S)))
 				w.WriteString(v.S)
-			case relation.KindBytes:
-				putUvarint(uint64(len(v.B)))
-				w.Write(v.B)
 			}
 		}
 		return
@@ -260,7 +257,7 @@ func encodeColumn(w *bytes.Buffer, rows []relation.Row, ci int, scratch []byte) 
 			if r[ci].K == relation.KindNull {
 				continue
 			}
-			if r[ci].I != 0 {
+			if r[ci].N != 0 {
 				cur |= 1 << (m % 8)
 			}
 			m++
@@ -275,16 +272,16 @@ func encodeColumn(w *bytes.Buffer, rows []relation.Row, ci int, scratch []byte) 
 	case relation.KindInt:
 		for _, r := range rows {
 			if r[ci].K != relation.KindNull {
-				putVarint(r[ci].I)
+				putVarint(r[ci].I())
 			}
 		}
 	case relation.KindFloat:
 		for _, r := range rows {
 			if r[ci].K != relation.KindNull {
-				putFloat(r[ci].F)
+				putFloatBits(r[ci].N)
 			}
 		}
-	case relation.KindString:
+	case relation.KindString, relation.KindBytes:
 		for _, r := range rows {
 			if r[ci].K != relation.KindNull {
 				putUvarint(uint64(len(r[ci].S)))
@@ -293,17 +290,6 @@ func encodeColumn(w *bytes.Buffer, rows []relation.Row, ci int, scratch []byte) 
 		for _, r := range rows {
 			if r[ci].K != relation.KindNull {
 				w.WriteString(r[ci].S)
-			}
-		}
-	case relation.KindBytes:
-		for _, r := range rows {
-			if r[ci].K != relation.KindNull {
-				putUvarint(uint64(len(r[ci].B)))
-			}
-		}
-		for _, r := range rows {
-			if r[ci].K != relation.KindNull {
-				w.Write(r[ci].B)
 			}
 		}
 	}
@@ -538,14 +524,8 @@ func decodeColumn(rd *reader, rows []relation.Row, ci, n int) error {
 			if isNull(i) {
 				continue
 			}
-			chunk := arena[off : off+lens[j]]
-			if relation.Kind(kind) == relation.KindString {
-				rows[i][ci] = relation.Str(string(chunk))
-			} else {
-				b := make([]byte, len(chunk))
-				copy(b, chunk)
-				rows[i][ci] = relation.Bytes(b)
-			}
+			// string() copies: cells never alias the decode buffer.
+			rows[i][ci] = relation.Value{K: relation.Kind(kind), S: string(arena[off : off+lens[j]])}
 			off += lens[j]
 			j++
 		}
@@ -626,7 +606,7 @@ func (r *reader) cell(k relation.Kind) (relation.Value, error) {
 			return relation.Value{}, err
 		}
 		return relation.Float(f), nil
-	case relation.KindString:
+	case relation.KindString, relation.KindBytes:
 		l, err := r.uvarint()
 		if err != nil {
 			return relation.Value{}, err
@@ -635,19 +615,7 @@ func (r *reader) cell(k relation.Kind) (relation.Value, error) {
 		if err != nil {
 			return relation.Value{}, err
 		}
-		return relation.Str(string(b)), nil
-	case relation.KindBytes:
-		l, err := r.uvarint()
-		if err != nil {
-			return relation.Value{}, err
-		}
-		b, err := r.bytes(int(l))
-		if err != nil {
-			return relation.Value{}, err
-		}
-		cp := make([]byte, len(b))
-		copy(cp, b)
-		return relation.Bytes(cp), nil
+		return relation.Value{K: k, S: string(b)}, nil
 	default:
 		return relation.Value{}, fmt.Errorf("bad cell kind %d", k)
 	}

@@ -40,21 +40,6 @@ func kitchenSinkRows() []relation.Row {
 	}
 }
 
-// cellEqual compares two values including float bit patterns, so NaN
-// round-trips count as equal and -0.0 is distinguished from +0.0.
-func cellEqual(a, b relation.Value) bool {
-	if a.K != b.K {
-		return false
-	}
-	if a.K == relation.KindFloat {
-		return math.Float64bits(a.F) == math.Float64bits(b.F)
-	}
-	if a.K == relation.KindBytes {
-		return bytes.Equal(a.B, b.B)
-	}
-	return a.I == b.I && a.S == b.S
-}
-
 func assertRowsEqual(t *testing.T, got, want []relation.Row) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -65,7 +50,7 @@ func assertRowsEqual(t *testing.T, got, want []relation.Row) {
 			t.Fatalf("row %d: %d cells, want %d", i, len(got[i]), len(want[i]))
 		}
 		for j := range want[i] {
-			if !cellEqual(got[i][j], want[i][j]) {
+			if got[i][j] != want[i][j] { // bitwise: NaN round-trips, -0.0 != +0.0
 				t.Fatalf("row %d cell %d: %#v, want %#v", i, j, got[i][j], want[i][j])
 			}
 		}

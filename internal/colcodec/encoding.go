@@ -48,16 +48,6 @@ const maxDictBuild = 1 << 16
 // prove the differential harness catches it. Never set in production.
 var DebugMutateRuns func(runLens []int)
 
-// valueSameBits reports bitwise equality of two cells — the identity
-// used for run detection and dictionary keys. Float compares by bit
-// pattern so distinct NaN payloads stay distinct and roundtrips stay
-// bitwise-exact.
-func valueSameBits(a, b relation.Value) bool {
-	return a.K == b.K && a.I == b.I &&
-		math.Float64bits(a.F) == math.Float64bits(b.F) &&
-		a.S == b.S && bytes.Equal(a.B, b.B)
-}
-
 func uvarintLen(u uint64) int {
 	n := 1
 	for u >= 0x80 {
@@ -73,31 +63,14 @@ func uvarintLen(u uint64) int {
 func valueBytes(v relation.Value) int {
 	switch v.K {
 	case relation.KindInt:
-		return uvarintLen(uint64(v.I)<<1 ^ uint64(v.I>>63))
+		i := v.I()
+		return uvarintLen(uint64(i)<<1 ^ uint64(i>>63))
 	case relation.KindFloat:
 		return 8
-	case relation.KindString:
+	case relation.KindString, relation.KindBytes:
 		return uvarintLen(uint64(len(v.S))) + len(v.S)
-	case relation.KindBytes:
-		return uvarintLen(uint64(len(v.B))) + len(v.B)
 	}
 	return 0
-}
-
-// dictKey is a map key carrying a cell's identity under valueSameBits
-// (the column is homogeneous, so the kind is implied).
-type dictKey struct {
-	i int64
-	f uint64
-	s string
-}
-
-func keyOf(v relation.Value) dictKey {
-	k := dictKey{i: v.I, f: math.Float64bits(v.F), s: v.S}
-	if v.K == relation.KindBytes {
-		k.s = string(v.B)
-	}
-	return k
 }
 
 // encodeColumnSelect writes one column under the flagEncoded layout,
@@ -141,7 +114,7 @@ func encodeColumnSelect(w *bytes.Buffer, rows []relation.Row, ci int, scratch []
 // column with more than maxDictBuild distinct values reports an
 // unreachable dict cost.
 func columnCosts(rows []relation.Row, ci int) (rawB, dictB, rleB int) {
-	dict := make(map[dictKey]int)
+	dict := make(map[relation.Value]int)
 	dictOverflow := false
 	dictValB, dictIdxB := 0, 0
 	nruns, runLen := 0, 0
@@ -153,7 +126,7 @@ func columnCosts(rows []relation.Row, ci int) (rawB, dictB, rleB int) {
 		}
 		vb := valueBytes(v)
 		rawB += vb
-		if runLen > 0 && valueSameBits(prev, v) {
+		if runLen > 0 && prev == v {
 			runLen++
 		} else {
 			if runLen > 0 {
@@ -163,15 +136,14 @@ func columnCosts(rows []relation.Row, ci int) (rawB, dictB, rleB int) {
 			prev, runLen = v, 1
 		}
 		if !dictOverflow {
-			k := keyOf(v)
-			id, ok := dict[k]
+			id, ok := dict[v]
 			if !ok {
 				if len(dict) >= maxDictBuild {
 					dictOverflow = true
 					continue
 				}
 				id = len(dict)
-				dict[k] = id
+				dict[v] = id
 				dictValB += vb
 			}
 			dictIdxB += uvarintLen(uint64(id))
@@ -193,16 +165,13 @@ func columnCosts(rows []relation.Row, ci int) (rawB, dictB, rleB int) {
 func writeValue(w *bytes.Buffer, v relation.Value, scratch []byte) {
 	switch v.K {
 	case relation.KindInt:
-		w.Write(scratch[:binary.PutVarint(scratch, v.I)])
+		w.Write(scratch[:binary.PutVarint(scratch, v.I())])
 	case relation.KindFloat:
-		binary.LittleEndian.PutUint64(scratch[:8], math.Float64bits(v.F))
+		binary.LittleEndian.PutUint64(scratch[:8], v.N)
 		w.Write(scratch[:8])
-	case relation.KindString:
+	case relation.KindString, relation.KindBytes:
 		w.Write(scratch[:binary.PutUvarint(scratch, uint64(len(v.S)))])
 		w.WriteString(v.S)
-	case relation.KindBytes:
-		w.Write(scratch[:binary.PutUvarint(scratch, uint64(len(v.B)))])
-		w.Write(v.B)
 	}
 }
 
@@ -221,7 +190,7 @@ func encodeDict(w *bytes.Buffer, rows []relation.Row, ci int, kind relation.Kind
 	writeColumnHeader(w, rows, ci, kind, nulls)
 	// First-appearance order: the id stream is smallest when early rows
 	// get small ids, and the decoder rebuilds the same order for free.
-	dict := make(map[dictKey]int)
+	dict := make(map[relation.Value]int)
 	var vals []relation.Value
 	ids := make([]int, 0, len(rows))
 	for _, r := range rows {
@@ -229,11 +198,10 @@ func encodeDict(w *bytes.Buffer, rows []relation.Row, ci int, kind relation.Kind
 		if v.K == relation.KindNull {
 			continue
 		}
-		k := keyOf(v)
-		id, ok := dict[k]
+		id, ok := dict[v]
 		if !ok {
 			id = len(vals)
-			dict[k] = id
+			dict[v] = id
 			vals = append(vals, v)
 		}
 		ids = append(ids, id)
@@ -256,7 +224,7 @@ func encodeRLE(w *bytes.Buffer, rows []relation.Row, ci int, kind relation.Kind,
 		if v.K == relation.KindNull {
 			continue
 		}
-		if len(vals) > 0 && valueSameBits(vals[len(vals)-1], v) {
+		if len(vals) > 0 && vals[len(vals)-1] == v {
 			lens[len(lens)-1]++
 		} else {
 			vals = append(vals, v)
@@ -328,9 +296,10 @@ func readEncodedHeader(rd *reader, n int) (kind relation.Kind, isNull func(int) 
 	return relation.Kind(k), isNull, m, nil
 }
 
-// readValue reads one value payload of the given homogeneous kind. For
-// bytes the returned Value aliases the reader's buffer; callers must
-// copy per cell.
+// value reads one value payload of the given homogeneous kind. String
+// and bytes payloads are copied out of the reader's buffer once; the
+// cells a dictionary entry or run expands to then share that immutable
+// copy.
 func (r *reader) value(k relation.Kind) (relation.Value, error) {
 	switch k {
 	case relation.KindInt:
@@ -345,7 +314,7 @@ func (r *reader) value(k relation.Kind) (relation.Value, error) {
 			return relation.Value{}, err
 		}
 		return relation.Float(f), nil
-	case relation.KindString:
+	default: // KindString or KindBytes, pre-validated by readEncodedHeader
 		l, err := r.uvarint()
 		if err != nil {
 			return relation.Value{}, err
@@ -354,17 +323,7 @@ func (r *reader) value(k relation.Kind) (relation.Value, error) {
 		if err != nil {
 			return relation.Value{}, err
 		}
-		return relation.Str(string(b)), nil
-	default: // KindBytes, pre-validated by readEncodedHeader
-		l, err := r.uvarint()
-		if err != nil {
-			return relation.Value{}, err
-		}
-		b, err := r.bytes(int(l))
-		if err != nil {
-			return relation.Value{}, err
-		}
-		return relation.Bytes(b), nil
+		return relation.Value{K: k, S: string(b)}, nil
 	}
 }
 
@@ -404,14 +363,7 @@ func decodeDictColumn(rd *reader, rows []relation.Row, ci, n int) error {
 		if id >= dcount {
 			return fmt.Errorf("dictionary index %d out of range (%d entries)", id, dcount)
 		}
-		v := vals[id]
-		if kind == relation.KindBytes {
-			// Cells must not alias each other (or the input buffer).
-			b := make([]byte, len(v.B))
-			copy(b, v.B)
-			v = relation.Bytes(b)
-		}
-		rows[i][ci] = v
+		rows[i][ci] = vals[id]
 	}
 	return nil
 }
@@ -449,13 +401,7 @@ func decodeRLEColumn(rd *reader, rows []relation.Row, ci, n int) error {
 			for isNull(i) {
 				i++
 			}
-			cell := v
-			if kind == relation.KindBytes {
-				b := make([]byte, len(v.B))
-				copy(b, v.B)
-				cell = relation.Bytes(b)
-			}
-			rows[i][ci] = cell
+			rows[i][ci] = v
 			i++
 		}
 		covered += int(rl)

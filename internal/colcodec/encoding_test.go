@@ -3,6 +3,7 @@ package colcodec
 import (
 	"compress/flate"
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
@@ -272,7 +273,7 @@ func TestDebugMutateRuns(t *testing.T) {
 		t.Fatalf("mutated runs must stay structurally valid: %v", err)
 	}
 	// Runs [100×1, 50×2] become [50×1, 100×2]: rows 50..99 flip to 2.
-	if got[49][0].I != 1 || got[50][0].I != 2 || got[99][0].I != 2 {
+	if got[49][0].I() != 1 || got[50][0].I() != 2 || got[99][0].I() != 2 {
 		t.Fatalf("run swap did not take: got[49]=%v got[50]=%v got[99]=%v", got[49][0], got[50][0], got[99][0])
 	}
 }
@@ -298,5 +299,60 @@ func TestCompressLevels(t *testing.T) {
 	}
 	if _, err := Encode(s, rows, Options{Compress: true, Level: 42}); err == nil {
 		t.Fatal("level 42 accepted")
+	}
+}
+
+// TestSpecialFloatsSurviveEveryEncoding: NaN payloads, -0 and ±Inf
+// must round-trip bitwise through the raw, dict and RLE column
+// encodings alike — cells compare with ==, which is the bit-pattern
+// identity, so a canonicalizing codec (NaN folded, -0 read as +0)
+// fails here.
+func TestSpecialFloatsSurviveEveryEncoding(t *testing.T) {
+	specials := []float64{
+		math.Float64frombits(0x7ff8000000000001), // Go's NaN
+		math.Float64frombits(0xfff8000000000bad), // negative NaN with payload
+		math.Copysign(0, -1),
+		0,
+		math.Inf(1),
+		math.Inf(-1),
+	}
+	cases := []struct {
+		name string
+		want string
+		cell func(i int) relation.Value
+	}{
+		{"distinct", "raw", func(i int) relation.Value {
+			if i < len(specials) {
+				return relation.Float(specials[i])
+			}
+			return relation.Float(float64(i) * 977.5)
+		}},
+		{"cycling", "dict", func(i int) relation.Value { return relation.Float(specials[i%len(specials)]) }},
+		{"runs", "rle", func(i int) relation.Value { return relation.Float(specials[(i/64)%len(specials)]) }},
+	}
+	s := relation.NewSchema(relation.Column{Name: "f", Kind: relation.KindFloat})
+	for _, tc := range cases {
+		rows := make([]relation.Row, 512)
+		for i := range rows {
+			rows[i] = relation.Row{tc.cell(i)}
+		}
+		before := mEncodings.With(tc.want).Value()
+		data, err := Encode(s, rows, Options{Encodings: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d := mEncodings.With(tc.want).Value() - before; d != 1 {
+			t.Fatalf("%s: column not %s-encoded", tc.name, tc.want)
+		}
+		got, err := Decode(s, data)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i := range rows {
+			if got[i][0] != rows[i][0] {
+				t.Fatalf("%s row %d: bits %#x came back as %#x", tc.name, i,
+					math.Float64bits(rows[i][0].F()), math.Float64bits(got[i][0].F()))
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package difftest
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -16,29 +17,6 @@ import (
 // cross-partitioning invariants tolerate the re-association error of
 // partial float sums.
 const floatTol = 1e-9
-
-// cellsExact reports bitwise value equality: same kind, and for floats
-// the same bit pattern (so a -0 vs +0 or NaN-payload drift would be
-// caught, not forgiven).
-func cellsExact(a, b relation.Value) bool {
-	if a.K != b.K {
-		return false
-	}
-	switch a.K {
-	case relation.KindNull:
-		return true
-	case relation.KindBool, relation.KindInt:
-		return a.I == b.I
-	case relation.KindFloat:
-		return math.Float64bits(a.F) == math.Float64bits(b.F)
-	case relation.KindString:
-		return a.S == b.S
-	case relation.KindBytes:
-		return string(a.B) == string(b.B)
-	default:
-		return false
-	}
-}
 
 func fmtRow(r relation.Row) string {
 	parts := make([]string, len(r))
@@ -75,16 +53,9 @@ func DiffExact(want, got *relation.Relation) string {
 				b.WriteString("  ... further diffs elided\n")
 				return b.String()
 			}
-			same := len(wp[ri]) == len(gp[ri])
-			if same {
-				for ci := range wp[ri] {
-					if !cellsExact(wp[ri][ci], gp[ri][ci]) {
-						same = false
-						break
-					}
-				}
-			}
-			if !same {
+			// Cell == is bitwise: a -0 vs +0 or NaN-payload drift is
+			// caught, not forgiven.
+			if !slices.Equal(wp[ri], gp[ri]) {
 				fmt.Fprintf(&b, "partition %d row %d:\n  want %s\n  got  %s\n", pi, ri, fmtRow(wp[ri]), fmtRow(gp[ri]))
 				diffs++
 			}

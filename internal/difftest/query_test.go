@@ -39,10 +39,10 @@ func queryAtom(w *Workload, rng *rand.Rand) string {
 			v := r[ci]
 			switch v.K {
 			case relation.KindInt:
-				cands = append(cands, cand{c.Name, strconv.FormatInt(v.I, 10)})
+				cands = append(cands, cand{c.Name, strconv.FormatInt(v.I(), 10)})
 			case relation.KindFloat:
-				if !math.IsNaN(v.F) && !math.IsInf(v.F, 0) {
-					cands = append(cands, cand{c.Name, strconv.FormatFloat(v.F, 'g', -1, 64)})
+				if !math.IsNaN(v.F()) && !math.IsInf(v.F(), 0) {
+					cands = append(cands, cand{c.Name, strconv.FormatFloat(v.F(), 'g', -1, 64)})
 				}
 			case relation.KindString:
 				cands = append(cands, cand{c.Name, strconv.Quote(v.S)})

@@ -106,8 +106,8 @@ func TestBroadcastJoinInterpretation(t *testing.T) {
 	vIdx := rel.Schema.MustIndex("v")
 	lIdx := rel.Schema.MustIndex("l")
 	for _, r := range rel.Rows() {
-		b0 := float64(r[lIdx].B[0])
-		b1 := float64(r[lIdx].B[1])
+		b0 := float64(r[lIdx].B()[0])
+		b1 := float64(r[lIdx].B()[1])
 		var want float64
 		switch r[sidIdx].AsString() {
 		case "wpos":

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
-	"math"
 
 	"ivnt/internal/relation"
 )
@@ -92,19 +91,12 @@ func hashValue(h hash.Hash64, v relation.Value) {
 	switch v.K {
 	case relation.KindNull:
 		h.Write(b[:1])
-	case relation.KindBool, relation.KindInt:
-		binary.LittleEndian.PutUint64(b[1:], uint64(v.I))
+	case relation.KindBool, relation.KindInt, relation.KindFloat:
+		binary.LittleEndian.PutUint64(b[1:], v.N)
 		h.Write(b[:9])
-	case relation.KindFloat:
-		binary.LittleEndian.PutUint64(b[1:], math.Float64bits(v.F))
-		h.Write(b[:9])
-	case relation.KindString:
+	case relation.KindString, relation.KindBytes:
 		h.Write(b[:1])
 		hashString(h, v.S)
-	case relation.KindBytes:
-		h.Write(b[:1])
-		hashInt(h, len(v.B))
-		h.Write(v.B)
 	}
 }
 

@@ -36,7 +36,7 @@ func shuffleTestRel(n, parts int) *relation.Relation {
 
 func cellBits(v relation.Value) string {
 	if v.K == relation.KindFloat {
-		return fmt.Sprintf("f%x", math.Float64bits(v.F))
+		return fmt.Sprintf("f%x", math.Float64bits(v.F()))
 	}
 	return fmt.Sprintf("%d:%s", v.K, v.AsString())
 }

@@ -38,6 +38,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"ivnt/internal/colcodec"
 	"ivnt/internal/memgov"
@@ -164,14 +165,18 @@ func spillFault(op string) error {
 
 // ------------------------------------------------------------ size estimation
 
+// cellBytes is the fixed size of one relation.Value.
+const cellBytes = int64(unsafe.Sizeof(relation.Value{}))
+
 // rowFootprint estimates the resident bytes of one row: slice header
-// plus the fixed Value structs plus string/bytes payloads. It is a
-// declared working-set estimate for the governor, not a heap
-// measurement — consistency matters more than exactness.
+// plus the fixed Value structs plus string/bytes payloads (bytes live
+// in S too, so each payload counts once). It is a declared working-set
+// estimate for the governor, not a heap measurement — consistency
+// matters more than exactness.
 func rowFootprint(r relation.Row) int64 {
-	n := int64(24 + 64*len(r))
+	n := 24 + cellBytes*int64(len(r))
 	for i := range r {
-		n += int64(len(r[i].S) + len(r[i].B))
+		n += int64(len(r[i].S))
 	}
 	return n
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -62,26 +61,6 @@ func spillRows(n int) []relation.Row {
 	return rows
 }
 
-func cellsEq(a, b relation.Value) bool {
-	if a.K != b.K {
-		return false
-	}
-	switch a.K {
-	case relation.KindNull:
-		return true
-	case relation.KindBool, relation.KindInt:
-		return a.I == b.I
-	case relation.KindFloat:
-		return math.Float64bits(a.F) == math.Float64bits(b.F)
-	case relation.KindString:
-		return a.S == b.S
-	case relation.KindBytes:
-		return string(a.B) == string(b.B)
-	default:
-		return false
-	}
-}
-
 func rowsEq(t *testing.T, label string, want, got []relation.Row) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -92,7 +71,7 @@ func rowsEq(t *testing.T, label string, want, got []relation.Row) {
 			t.Fatalf("%s: row %d width %d, want %d", label, ri, len(got[ri]), len(want[ri]))
 		}
 		for ci := range want[ri] {
-			if !cellsEq(want[ri][ci], got[ri][ci]) {
+			if want[ri][ci] != got[ri][ci] {
 				t.Fatalf("%s: row %d col %d = %v, want %v", label, ri, ci, got[ri][ci], want[ri][ci])
 			}
 		}
@@ -367,8 +346,8 @@ func TestSpillBoundedWorkingSet(t *testing.T) {
 	resetSpillDebug(t)
 	const budget = 64 << 10
 
-	// ~290 bytes/row -> >= 4x the 64KiB budget.
-	rows := spillRows(1024)
+	// ~157 bytes/row (32-byte cells) -> >= 4x the 64KiB budget.
+	rows := spillRows(2048)
 	if foot := RowsFootprint(rows); foot < 4*budget {
 		t.Fatalf("workload footprint %d < 4x budget %d; grow the input", foot, 4*budget)
 	}

@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -224,9 +222,7 @@ func cellsSameBits(a, b relation.Row, cols []int32) bool {
 		if int(c) < len(b) {
 			bv = b[c]
 		}
-		if av.K != bv.K || av.I != bv.I ||
-			math.Float64bits(av.F) != math.Float64bits(bv.F) ||
-			av.S != bv.S || !bytes.Equal(av.B, bv.B) {
+		if av != bv {
 			return false
 		}
 	}

@@ -1,9 +1,9 @@
 package engine
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ivnt/internal/relation"
@@ -88,29 +88,9 @@ func vecPipelines() map[string][]OpDesc {
 	}
 }
 
+// rowsBitEqual compares rows cell by cell with ==, the bitwise identity.
 func rowsBitEqual(a, b []relation.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			x, y := a[i][j], b[i][j]
-			if x.K != y.K || x.I != y.I || x.S != y.S ||
-				math.Float64bits(x.F) != math.Float64bits(y.F) ||
-				len(x.B) != len(y.B) {
-				return false
-			}
-			for k := range x.B {
-				if x.B[k] != y.B[k] {
-					return false
-				}
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, slices.Equal[relation.Row])
 }
 
 // TestVectorizedMatchesRows is the engine-local differential check:

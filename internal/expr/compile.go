@@ -291,10 +291,11 @@ func lookupTable(v relation.Value, table string) relation.Value {
 // first — the u₁ relevant-byte extraction of Sec. 3.2 (rel.B in
 // Table 1).
 func slicePayload(payload relation.Value, first, n int) relation.Value {
-	if payload.K != relation.KindBytes || first < 0 || n < 0 || first+n > len(payload.B) {
+	if payload.K != relation.KindBytes || first < 0 || n < 0 || first+n > len(payload.S) {
 		return relation.Null()
 	}
-	return relation.Bytes(payload.B[first : first+n])
+	// A substring: shares the payload's immutable data, no copy.
+	return relation.Value{K: relation.KindBytes, S: payload.S[first : first+n]}
 }
 
 func (p *Program) evalWindow(x *Call, env Env) relation.Value {
@@ -329,7 +330,7 @@ func extractBits(payload relation.Value, start, n int, signed bool) relation.Val
 	if payload.K != relation.KindBytes || n <= 0 || n > 64 || start < 0 {
 		return relation.Null()
 	}
-	b := payload.B
+	b := payload.B()
 	if start+n > len(b)*8 {
 		return relation.Null()
 	}
@@ -354,7 +355,7 @@ func extractBitsLE(payload relation.Value, start, n int, signed bool) relation.V
 	if payload.K != relation.KindBytes || n <= 0 || n > 64 || start < 0 {
 		return relation.Null()
 	}
-	b := payload.B
+	b := payload.B()
 	if start+n > len(b)*8 {
 		return relation.Null()
 	}
@@ -375,7 +376,7 @@ func extractBytes(payload relation.Value, off, n int, littleEndian bool) relatio
 	if payload.K != relation.KindBytes || n <= 0 || n > 8 || off < 0 {
 		return relation.Null()
 	}
-	b := payload.B
+	b := payload.B()
 	if off+n > len(b) {
 		return relation.Null()
 	}

@@ -67,11 +67,11 @@ func TestArithmetic(t *testing.T) {
 func TestIntegerArithmeticStaysInt(t *testing.T) {
 	r := row(0, 0, "", nil, 7)
 	got := evalOn(t, "n * 2 + 1", r)
-	if got.K != relation.KindInt || got.I != 15 {
+	if got.K != relation.KindInt || got.I() != 15 {
 		t.Fatalf("int arithmetic: %#v", got)
 	}
 	got = evalOn(t, "n / 2", r)
-	if got.K != relation.KindFloat || got.F != 3.5 {
+	if got.K != relation.KindFloat || got.F() != 3.5 {
 		t.Fatalf("division must be float: %#v", got)
 	}
 }
@@ -272,7 +272,7 @@ func TestStringConcatAndConversions(t *testing.T) {
 	if got := evalOn(t, "str(n) + upper(sid)", r); got.AsString() != "0AB" {
 		t.Errorf("mixed = %q", got)
 	}
-	if got := evalOn(t, "int(v)", r); got.K != relation.KindInt || got.I != 3 {
+	if got := evalOn(t, "int(v)", r); got.K != relation.KindInt || got.I() != 3 {
 		t.Errorf("int() = %#v", got)
 	}
 	if got := evalOn(t, "strlen(sid)", r); got.AsInt() != 2 {
@@ -363,7 +363,7 @@ func TestLookupFunction(t *testing.T) {
 func TestSliceFunction(t *testing.T) {
 	r := row(0, 0, "", []byte{1, 2, 3, 4}, 0)
 	got := evalOn(t, "slice(l, 1, 2)", r)
-	if got.K != relation.KindBytes || len(got.B) != 2 || got.B[0] != 2 || got.B[1] != 3 {
+	if got.K != relation.KindBytes || len(got.B()) != 2 || got.B()[0] != 2 || got.B()[1] != 3 {
 		t.Errorf("slice = %#v", got)
 	}
 	// Chained u1/u2: extract relevant bytes, then interpret them.

@@ -1,7 +1,6 @@
 package expr
 
 import (
-	"math"
 	"testing"
 
 	"ivnt/internal/relation"
@@ -60,26 +59,6 @@ func flatRows() []relation.Row {
 	}
 }
 
-// valuesBitEqual compares Values with float bit patterns, the same
-// contract the differential harness uses.
-func valuesBitEqual(a, b relation.Value) bool {
-	if a.K != b.K || a.I != b.I || a.S != b.S {
-		return false
-	}
-	if math.Float64bits(a.F) != math.Float64bits(b.F) {
-		return false
-	}
-	if len(a.B) != len(b.B) {
-		return false
-	}
-	for i := range a.B {
-		if a.B[i] != b.B[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestFlatMatchesTree is the package-local differential check: the
 // bytecode machine must agree with the tree walker bit-for-bit on
 // every corpus expression at every cursor position.
@@ -98,7 +77,7 @@ func TestFlatMatchesTree(t *testing.T) {
 		for idx := range rows {
 			want := p.Eval(&RowEnv{Rows: rows, Idx: idx})
 			got := m.EvalAt(fp, rows, idx)
-			if !valuesBitEqual(got, want) {
+			if got != want { // bitwise, the differential harness contract
 				t.Errorf("%q at row %d: flat=%v tree=%v\n%s", src, idx, got, want, fp.Disasm())
 			}
 		}

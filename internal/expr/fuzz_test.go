@@ -49,7 +49,7 @@ func FuzzParseAndEval(f *testing.F) {
 		for idx := range rows {
 			want := p.Eval(&RowEnv{Rows: rows, Idx: idx})
 			got := m.EvalAt(fp, rows, idx)
-			if !valuesBitEqual(got, want) {
+			if got != want {
 				t.Fatalf("flat/tree divergence on %q at row %d: flat=%v tree=%v", src, idx, got, want)
 			}
 		}

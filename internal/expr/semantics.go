@@ -69,17 +69,17 @@ func EvalBinary(op BinOp, a, b relation.Value) relation.Value {
 	switch op {
 	case BinAdd:
 		if bothInt(a, b) {
-			return relation.Int(a.I + b.I)
+			return relation.Int(a.I() + b.I())
 		}
 		return relation.Float(a.AsFloat() + b.AsFloat())
 	case BinSub:
 		if bothInt(a, b) {
-			return relation.Int(a.I - b.I)
+			return relation.Int(a.I() - b.I())
 		}
 		return relation.Float(a.AsFloat() - b.AsFloat())
 	case BinMul:
 		if bothInt(a, b) {
-			return relation.Int(a.I * b.I)
+			return relation.Int(a.I() * b.I())
 		}
 		return relation.Float(a.AsFloat() * b.AsFloat())
 	case BinDiv:
@@ -90,10 +90,10 @@ func EvalBinary(op BinOp, a, b relation.Value) relation.Value {
 		return relation.Float(a.AsFloat() / f)
 	case BinMod:
 		if bothInt(a, b) {
-			if b.I == 0 {
+			if b.I() == 0 {
 				return relation.Null()
 			}
-			return relation.Int(a.I % b.I)
+			return relation.Int(a.I() % b.I())
 		}
 		f := b.AsFloat()
 		if f == 0 {
@@ -109,9 +109,9 @@ func EvalBinary(op BinOp, a, b relation.Value) relation.Value {
 func EvalNeg(v relation.Value) relation.Value {
 	switch v.K {
 	case relation.KindInt:
-		return relation.Int(-v.I)
+		return relation.Int(-v.I())
 	case relation.KindFloat:
-		return relation.Float(-v.F)
+		return relation.Float(-v.F())
 	default:
 		return relation.Null()
 	}
@@ -179,8 +179,8 @@ func CallBuiltin(fn Builtin, args []relation.Value) relation.Value {
 	switch fn {
 	case BAbs:
 		if args[0].K == relation.KindInt {
-			if args[0].I < 0 {
-				return relation.Int(-args[0].I)
+			if args[0].I() < 0 {
+				return relation.Int(-args[0].I())
 			}
 			return args[0]
 		}
@@ -229,7 +229,7 @@ func CallBuiltin(fn Builtin, args []relation.Value) relation.Value {
 	case BIsnull:
 		return relation.Bool(args[0].IsNull())
 	case BByteat:
-		b := args[0].B
+		b := args[0].S
 		i := int(args[1].AsInt())
 		if args[0].K != relation.KindBytes || i < 0 || i >= len(b) {
 			return relation.Null()
@@ -239,7 +239,7 @@ func CallBuiltin(fn Builtin, args []relation.Value) relation.Value {
 		if args[0].K != relation.KindBytes {
 			return relation.Null()
 		}
-		return relation.Int(int64(len(args[0].B)))
+		return relation.Int(int64(len(args[0].S)))
 	case BUbits, BSbits:
 		return extractBits(args[0], int(args[1].AsInt()), int(args[2].AsInt()), fn == BSbits)
 	case BUlbits, BSlbits:

@@ -236,18 +236,18 @@ func TestRunEndToEnd(t *testing.T) {
 
 	out := run("SELECT ts FROM trace WHERE val > 1.0 ORDER BY ts")
 	got := out.Rows()
-	if len(got) != 3 || got[0][0].I != 10 || got[1][0].I != 20 || got[2][0].I != 40 {
+	if len(got) != 3 || got[0][0].I() != 10 || got[1][0].I() != 20 || got[2][0].I() != 40 {
 		t.Fatalf("filtered rows = %v", got)
 	}
 
 	out = run("SELECT sid, count(*) AS n FROM trace GROUP BY sid ORDER BY sid")
 	got = out.Rows()
-	if len(got) != 3 || got[0][0].S != "a" || got[0][1].I != 2 || got[2][0].S != "c" || got[2][1].I != 1 {
+	if len(got) != 3 || got[0][0].S != "a" || got[0][1].I() != 2 || got[2][0].S != "c" || got[2][1].I() != 1 {
 		t.Fatalf("grouped rows = %v", got)
 	}
 
 	out = run("SELECT ts FROM trace ORDER BY ts LIMIT 2")
-	if got = out.Rows(); len(got) != 2 || got[1][0].I != 20 {
+	if got = out.Rows(); len(got) != 2 || got[1][0].I() != 20 {
 		t.Fatalf("limited rows = %v", got)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"hash/fnv"
 	"math"
 	"strconv"
+	"unsafe"
 )
 
 // Kind enumerates the dynamic type of a Value.
@@ -48,15 +49,18 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a dynamically typed scalar cell. Exactly one of the payload
-// fields is meaningful, selected by K. Fields are exported so values
-// cross gob encoding to remote executors unchanged.
+// Value is a dynamically typed scalar cell, 32 bytes with one pointer
+// word. K selects the payload: bool (0/1), int (two's complement) and
+// float (math.Float64bits) share the one 64-bit word N; strings and
+// bytes share S. Use the I, F and B accessors rather than decoding N by
+// hand. Fields are exported so values cross gob encoding to remote
+// executors unchanged, and the struct is comparable: a == b is the
+// bitwise cell identity (kind, payload bits, string data) that run
+// detection, dictionaries and the vectorized dedup use.
 type Value struct {
 	K Kind
-	I int64   // KindBool (0/1) and KindInt
-	F float64 // KindFloat
-	S string  // KindString
-	B []byte  // KindBytes
+	N uint64 // KindBool (0/1), KindInt, KindFloat (bit pattern)
+	S string // KindString, and KindBytes (the byte data, see Bytes)
 }
 
 // Null returns the null value.
@@ -65,23 +69,45 @@ func Null() Value { return Value{} }
 // Bool wraps a bool.
 func Bool(b bool) Value {
 	if b {
-		return Value{K: KindBool, I: 1}
+		return Value{K: KindBool, N: 1}
 	}
 	return Value{K: KindBool}
 }
 
 // Int wraps an int64.
-func Int(i int64) Value { return Value{K: KindInt, I: i} }
+func Int(i int64) Value { return Value{K: KindInt, N: uint64(i)} }
 
-// Float wraps a float64.
-func Float(f float64) Value { return Value{K: KindFloat, F: f} }
+// Float wraps a float64. The exact bit pattern is kept, so NaN payloads
+// and -0 survive every copy, == comparison and codec roundtrip.
+func Float(f float64) Value { return Value{K: KindFloat, N: math.Float64bits(f)} }
 
 // String wraps a string. The method set of Value already has String()
 // for fmt.Stringer, so the constructor is named Str.
 func Str(s string) Value { return Value{K: KindString, S: s} }
 
-// Bytes wraps a byte slice without copying.
-func Bytes(b []byte) Value { return Value{K: KindBytes, B: b} }
+// Bytes wraps a byte slice without copying: the cell's S aliases b's
+// backing array. The caller hands b over — it must not be mutated
+// afterwards, since the cell (and every copy of it, map key or
+// dictionary entry built from it) reads the same memory as an
+// immutable string. Copy first when the buffer is reused. Nil and
+// empty slices wrap to the same cell.
+func Bytes(b []byte) Value {
+	return Value{K: KindBytes, S: unsafe.String(unsafe.SliceData(b), len(b))}
+}
+
+// I returns the integer payload of a KindInt or KindBool (0/1) cell.
+// Other kinds read their raw payload word; use AsInt to convert.
+func (v Value) I() int64 { return int64(v.N) }
+
+// F returns the payload of a KindFloat cell. Other kinds read their raw
+// payload word as float bits; use AsFloat to convert.
+func (v Value) F() float64 { return math.Float64frombits(v.N) }
+
+// B returns the payload of a KindBytes cell (for KindString, the
+// string's bytes) without copying. The slice is read-only: it aliases
+// string data, and writing through it is undefined behaviour. An empty
+// payload may come back as nil.
+func (v Value) B() []byte { return unsafe.Slice(unsafe.StringData(v.S), len(v.S)) }
 
 // IsNull reports whether v is the null value.
 func (v Value) IsNull() bool { return v.K == KindNull }
@@ -90,9 +116,9 @@ func (v Value) IsNull() bool { return v.K == KindNull }
 func (v Value) AsBool() bool {
 	switch v.K {
 	case KindBool, KindInt:
-		return v.I != 0
+		return v.N != 0
 	case KindFloat:
-		return v.F != 0
+		return v.F() != 0
 	default:
 		return false
 	}
@@ -103,9 +129,9 @@ func (v Value) AsBool() bool {
 func (v Value) AsInt() int64 {
 	switch v.K {
 	case KindBool, KindInt:
-		return v.I
+		return v.I()
 	case KindFloat:
-		return int64(v.F)
+		return int64(v.F())
 	case KindString:
 		i, err := strconv.ParseInt(v.S, 0, 64)
 		if err != nil {
@@ -122,9 +148,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.K {
 	case KindBool, KindInt:
-		return float64(v.I)
+		return float64(v.I())
 	case KindFloat:
-		return v.F
+		return v.F()
 	case KindString:
 		f, err := strconv.ParseFloat(v.S, 64)
 		if err != nil {
@@ -142,18 +168,18 @@ func (v Value) AsString() string {
 	case KindNull:
 		return ""
 	case KindBool:
-		if v.I != 0 {
+		if v.N != 0 {
 			return "true"
 		}
 		return "false"
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.FormatInt(v.I(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KindString:
 		return v.S
 	case KindBytes:
-		return fmt.Sprintf("%x", v.B)
+		return fmt.Sprintf("%x", v.S)
 	default:
 		return ""
 	}
@@ -190,19 +216,9 @@ func (v Value) Equal(o Value) bool {
 	}
 	switch v.K {
 	case KindBool:
-		return (v.I != 0) == (o.I != 0)
-	case KindString:
+		return (v.N != 0) == (o.N != 0)
+	case KindString, KindBytes:
 		return v.S == o.S
-	case KindBytes:
-		if len(v.B) != len(o.B) {
-			return false
-		}
-		for i := range v.B {
-			if v.B[i] != o.B[i] {
-				return false
-			}
-		}
-		return true
 	default:
 		return false
 	}
@@ -211,7 +227,8 @@ func (v Value) Equal(o Value) bool {
 func (v Value) isNum() bool { return v.K == KindInt || v.K == KindFloat }
 
 // Compare orders two values: null < bool < numeric < string < bytes, and
-// within a class by natural order. It returns -1, 0 or +1.
+// within a class by natural order (bytes lexicographically). It returns
+// -1, 0 or +1.
 func (v Value) Compare(o Value) int {
 	cv, co := v.class(), o.class()
 	if cv != co {
@@ -224,7 +241,7 @@ func (v Value) Compare(o Value) int {
 	case 0: // both null
 		return 0
 	case 1: // bool
-		return cmpInt(v.I&1, o.I&1)
+		return cmpInt(int64(v.N&1), int64(o.N&1))
 	case 2: // numeric
 		a, b := v.AsFloat(), o.AsFloat()
 		switch {
@@ -235,7 +252,7 @@ func (v Value) Compare(o Value) int {
 		default:
 			return 0
 		}
-	case 3: // string
+	default: // string, bytes
 		switch {
 		case v.S < o.S:
 			return -1
@@ -244,17 +261,6 @@ func (v Value) Compare(o Value) int {
 		default:
 			return 0
 		}
-	default: // bytes
-		n := len(v.B)
-		if len(o.B) < n {
-			n = len(o.B)
-		}
-		for i := 0; i < n; i++ {
-			if v.B[i] != o.B[i] {
-				return cmpInt(int64(v.B[i]), int64(o.B[i]))
-			}
-		}
-		return cmpInt(int64(len(v.B)), int64(len(o.B)))
 	}
 }
 
@@ -295,7 +301,7 @@ func (v Value) Hash() uint64 {
 		h.Write(buf[:1])
 	case KindBool:
 		buf[0] = 1
-		buf[1] = byte(v.I & 1)
+		buf[1] = byte(v.N & 1)
 		h.Write(buf[:2])
 	case KindInt, KindFloat:
 		buf[0] = 2
@@ -304,14 +310,13 @@ func (v Value) Hash() uint64 {
 			buf[1+i] = byte(bits >> (8 * i))
 		}
 		h.Write(buf[:9])
-	case KindString:
+	case KindString, KindBytes:
 		buf[0] = 3
+		if v.K == KindBytes {
+			buf[0] = 4
+		}
 		h.Write(buf[:1])
 		h.Write([]byte(v.S))
-	case KindBytes:
-		buf[0] = 4
-		h.Write(buf[:1])
-		h.Write(v.B)
 	}
 	return h.Sum64()
 }

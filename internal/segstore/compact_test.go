@@ -263,7 +263,7 @@ func TestCompactConcurrentAppends(t *testing.T) {
 	}
 	seen := map[int64]bool{}
 	for _, r := range rows {
-		seen[r[0].I] = true
+		seen[r[0].I()] = true
 	}
 	if len(seen) != 96 {
 		t.Fatalf("distinct ts = %d, want 96", len(seen))

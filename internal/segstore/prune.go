@@ -118,9 +118,9 @@ func litValue(n expr.Node) (relation.Value, bool) {
 		}
 		switch lv := v.Value(); lv.K {
 		case relation.KindInt:
-			return relation.Int(-lv.I), true
+			return relation.Int(-lv.I()), true
 		case relation.KindFloat:
-			return relation.Float(-lv.F), true
+			return relation.Float(-lv.F()), true
 		}
 	}
 	return relation.Value{}, false

@@ -7,7 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"ivnt/internal/engine"
@@ -34,18 +33,6 @@ func testRows() []relation.Row {
 	}
 }
 
-// valEq compares two cells bitwise: float cells by their bit pattern
-// (so NaN == NaN and -0.0 != 0.0), everything else structurally.
-func valEq(a, b relation.Value) bool {
-	if a.K != b.K {
-		return false
-	}
-	if a.K == relation.KindFloat {
-		return math.Float64bits(a.F) == math.Float64bits(b.F)
-	}
-	return reflect.DeepEqual(a, b)
-}
-
 func rowsEq(a, b []relation.Row) bool {
 	if len(a) != len(b) {
 		return false
@@ -55,7 +42,7 @@ func rowsEq(a, b []relation.Row) bool {
 			return false
 		}
 		for j := range a[i] {
-			if !valEq(a[i][j], b[i][j]) {
+			if a[i][j] != b[i][j] { // bitwise: NaN == NaN, -0.0 != 0.0
 				return false
 			}
 		}
@@ -129,7 +116,7 @@ func TestLazyColumnProjection(t *testing.T) {
 		t.Fatalf("projected schema %s, want just ts", s)
 	}
 	for i, r := range rows {
-		if !valEq(r[0], testRows()[i][0]) {
+		if r[0] != testRows()[i][0] {
 			t.Fatalf("row %d: got %v", i, r[0])
 		}
 	}

@@ -388,23 +388,24 @@ func RenderRows(rel *relation.Relation) [][]any {
 func renderCell(v relation.Value) any {
 	switch v.K {
 	case relation.KindBool:
-		return v.I != 0
+		return v.N != 0
 	case relation.KindInt:
-		return v.I
+		return v.I()
 	case relation.KindFloat:
+		f := v.F()
 		switch {
-		case math.IsNaN(v.F):
+		case math.IsNaN(f):
 			return "NaN"
-		case math.IsInf(v.F, 1):
+		case math.IsInf(f, 1):
 			return "+Inf"
-		case math.IsInf(v.F, -1):
+		case math.IsInf(f, -1):
 			return "-Inf"
 		}
-		return v.F
+		return f
 	case relation.KindString:
 		return v.S
 	case relation.KindBytes:
-		return base64.StdEncoding.EncodeToString(v.B)
+		return base64.StdEncoding.EncodeToString(v.B())
 	default:
 		return nil
 	}

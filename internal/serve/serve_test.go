@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -445,5 +446,40 @@ func TestLRU(t *testing.T) {
 func TestVerifyMetrics(t *testing.T) {
 	if err := VerifyMetrics(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRenderCellEveryKind pins the JSON shape of each cell kind, and
+// that every rendering marshals: a cell accessor slipping through
+// renderCell's `any` result uncalled (v.I instead of v.I()) compiles,
+// but hands encoding/json a func it cannot encode.
+func TestRenderCellEveryKind(t *testing.T) {
+	cases := []struct {
+		v    relation.Value
+		want string
+	}{
+		{relation.Null(), `null`},
+		{relation.Bool(true), `true`},
+		{relation.Bool(false), `false`},
+		{relation.Int(-42), `-42`},
+		{relation.Int(math.MaxInt64), `9223372036854775807`},
+		{relation.Float(2.5), `2.5`},
+		{relation.Float(math.Copysign(0, -1)), `-0`},
+		{relation.Float(math.NaN()), `"NaN"`},
+		{relation.Float(math.Float64frombits(0xfff8000000000bad)), `"NaN"`},
+		{relation.Float(math.Inf(1)), `"+Inf"`},
+		{relation.Float(math.Inf(-1)), `"-Inf"`},
+		{relation.Str("gear"), `"gear"`},
+		{relation.Bytes([]byte{0xde, 0xad}), `"3q0="`},
+		{relation.Bytes(nil), `""`},
+	}
+	for _, c := range cases {
+		got, err := json.Marshal(renderCell(c.v))
+		if err != nil {
+			t.Fatalf("%s cell %v: %v", c.v.K, c.v, err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%s cell %v renders %s, want %s", c.v.K, c.v, got, c.want)
+		}
 	}
 }

@@ -146,7 +146,7 @@ func (tr *Trace) ToRelation(parts int) *relation.Relation {
 			relation.Float(k.T),
 			relation.Str(k.Channel),
 			relation.Int(int64(k.MsgID)),
-			relation.Bytes(k.Payload),
+			relation.Bytes(k.Payload), // aliases: payloads are immutable once traced
 			relation.Str(k.Info.Protocol.String()),
 			relation.Int(int64(k.Info.DLC)),
 		}
@@ -176,7 +176,7 @@ func FromRelation(rel *relation.Relation) (*Trace, error) {
 				T:       r[ti].AsFloat(),
 				Channel: r[bi].AsString(),
 				MsgID:   uint32(r[mi].AsInt()),
-				Payload: r[li].B,
+				Payload: r[li].B(), // read-only: aliases the cell's data
 				Info:    MsgInfo{Protocol: proto, DLC: uint8(r[di].AsInt())},
 			})
 		}
