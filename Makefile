@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-metrics check bench bench-smoke profile difftest difftest-spill difftest-shuffle difftest-scan difftest-query difftest-compact fuzz-smoke stress e2e
+.PHONY: all build test race vet vet-metrics gofmt check bench bench-smoke profile difftest difftest-spill difftest-shuffle difftest-scan difftest-query difftest-compact fuzz-smoke stress e2e
 
 all: check
 
@@ -24,9 +24,15 @@ vet:
 vet-metrics:
 	$(GO) run ./cmd/vetmetrics
 
-# check is the pre-merge gate: nothing lands unless the module builds,
-# vets, tests and race-tests clean (see docs/TESTING.md).
-check: build vet vet-metrics test race
+# Formatting gate: fails, listing the files, when gofmt would rewrite
+# any Go file in the tree.
+gofmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
+
+# check is the pre-merge gate: nothing lands unless the module is
+# gofmt-clean, builds, vets, tests and race-tests clean (see
+# docs/TESTING.md).
+check: gofmt build vet vet-metrics test race
 
 # Differential correctness run: DIFFTEST_N seeded workloads, each
 # executed on the oracle, the local executor and a real TCP cluster,
@@ -38,9 +44,9 @@ difftest:
 	$(GO) test ./internal/difftest/ -run Differential -v -difftest.n=$(DIFFTEST_N)
 
 # Differential run under a memory budget small enough that every sort
-# and aggregation takes the external (spill-to-disk) path, on both the
-# row and vectorized engines — results must stay bitwise identical to
-# the ungoverned oracle (see docs/MEMORY.md).
+# and aggregation takes the external (spill-to-disk) path — results
+# must stay bitwise identical to the ungoverned oracle (see
+# docs/MEMORY.md).
 SPILL_BUDGET ?= 4096
 difftest-spill:
 	$(GO) test -race ./internal/difftest/ -run 'DifferentialSpill|Differential$$' -v -difftest.n=$(DIFFTEST_N) -difftest.membudget=$(SPILL_BUDGET)
@@ -149,7 +155,7 @@ fuzz-smoke:
 bench: build
 	$(GO) test -run NONE -bench 'BenchmarkEncode|BenchmarkDecode' -benchtime 0.5s ./internal/colcodec/
 	$(GO) test -run NONE -bench 'BenchmarkBroadcastJoinStage|BenchmarkRuleCacheParallel|BenchmarkEvalRuleParallel' -benchtime 0.5s ./internal/engine/
-	$(GO) test -run NONE -bench 'BenchmarkFusedPipeline|BenchmarkBroadcastJoinRows|BenchmarkBroadcastJoinVec|BenchmarkSortWithin' -benchtime 0.5s ./internal/engine/
+	$(GO) test -run NONE -bench 'BenchmarkFusedPipelineVec|BenchmarkBroadcastJoinVec|BenchmarkSortWithinCompiled' -benchtime 0.5s ./internal/engine/
 	$(GO) test -run NONE -bench 'BenchmarkClusterStage' -benchtime 0.5s ./internal/cluster/
 	$(GO) run ./cmd/benchmark -exp wire -wire-out BENCH_engine.json
 	$(GO) run ./cmd/benchmark -exp pipeline -pipeline-out BENCH_engine.json
@@ -163,7 +169,7 @@ bench: build
 bench-smoke: build
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
 
-# CPU + heap profiles of the vectorized pipeline experiment; inspect
+# CPU + heap profiles of the pipeline experiment; inspect
 # with `go tool pprof cpu.prof` / `go tool pprof mem.prof` (see
 # docs/PERFORMANCE.md).
 profile: build

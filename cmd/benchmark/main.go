@@ -276,8 +276,8 @@ func main() {
 	run(*exp)
 }
 
-// runWire measures protocol-v3 bytes per task against the simulated v2
-// baseline, with compression off and on, and optionally writes the
+// runWire measures protocol-v3 bytes per task with compression off
+// and on, and optionally writes the
 // results (plus raw codec timings) as JSON. The codec sweep pins the
 // DEFLATE-level trade-off behind the driver's BestSpeed default: level
 // 0 (= flate.BestSpeed) against flate.BestCompression.

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"time"
@@ -55,8 +53,8 @@ func (o WireOptions) withDefaults() WireOptions {
 	return o
 }
 
-// WireResult is one measurement of protocol v3 against a simulated
-// protocol-v2 baseline for the same broadcast-join stage.
+// WireResult is one measurement of protocol v3 traffic for the
+// broadcast-join stage.
 type WireResult struct {
 	Rows, Partitions, Tasks int
 	Compress                bool
@@ -67,21 +65,6 @@ type WireResult struct {
 	V3BytesPerTask           float64
 	StagesShipped            int
 
-	// Simulated v2 traffic: per-task gob messages carrying schema, ops
-	// (with the full broadcast table embedded) and row-wise partitions,
-	// plus gob result rows — exactly what the pre-v3 protocol sent.
-	// Encoded through one gob stream, so type descriptors are charged
-	// once (conservative: favors v2). The rows gob-encode today's
-	// relation.Value {K, N, S}, not the {K, I, F, S, B} cell v2 actually
-	// shipped (floats now go as raw bit words, not gob's byte-reversed
-	// floats), so the "wire" section of BENCH_engine.json recorded
-	// before the 32-byte cell is historical: a re-run measures a
-	// different v2 baseline.
-	V2BytesPerTask float64
-
-	// Reduction = V2BytesPerTask / V3BytesPerTask.
-	Reduction float64
-
 	// Driver-side codec cost, per input row.
 	EncodeNsPerRow, DecodeNsPerRow float64
 
@@ -90,23 +73,6 @@ type WireResult struct {
 	TaskP50Sec, TaskP95Sec, TaskP99Sec float64
 
 	WallSec float64
-}
-
-// v2TaskMsg mirrors the retired protocol-v2 task frame: every task
-// re-shipped the input schema, the full op list (broadcast tables
-// inline) and its partition as row-wise gob.
-type v2TaskMsg struct {
-	ID, Epoch uint64
-	Schema    relation.Schema
-	Rows      []relation.Row
-	Ops       []engine.OpDesc
-}
-
-// v2ResultMsg mirrors the retired v2 result frame.
-type v2ResultMsg struct {
-	ID, Epoch uint64
-	Rows      []relation.Row
-	Err       string
 }
 
 // wireStage builds the measured stage: a trace stream broadcast-joined
@@ -155,8 +121,7 @@ func wireStage(opts WireOptions) (*relation.Relation, []engine.OpDesc) {
 }
 
 // Wire runs the broadcast-join stage once over a loopback cluster with
-// protocol v3 and compares measured bytes per task against the
-// simulated v2 baseline for the identical stage.
+// protocol v3 and measures its bytes per task.
 func Wire(ctx context.Context, opts WireOptions) (*WireResult, error) {
 	opts = opts.withDefaults()
 	rel, ops := wireStage(opts)
@@ -202,30 +167,6 @@ func Wire(ctx context.Context, opts WireOptions) (*WireResult, error) {
 	if n := rel.NumRows(); n > 0 {
 		res.EncodeNsPerRow = float64(st.EncodeWall.Nanoseconds()) / float64(n)
 		res.DecodeNsPerRow = float64(st.DecodeWall.Nanoseconds()) / float64(out.NumRows())
-	}
-
-	// Simulate the v2 wire: one gob stream per direction (descriptors
-	// charged once per connection, as a v2 driver would), one task and
-	// one result message per partition.
-	var v2 bytes.Buffer
-	enc := gob.NewEncoder(&v2)
-	for pi, part := range rel.Partitions {
-		if err := enc.Encode(&v2TaskMsg{
-			ID: uint64(pi + 1), Epoch: 1,
-			Schema: rel.Schema, Rows: part, Ops: ops,
-		}); err != nil {
-			return nil, fmt.Errorf("wire: v2 task encode: %w", err)
-		}
-	}
-	renc := gob.NewEncoder(&v2)
-	for pi, part := range out.Partitions {
-		if err := renc.Encode(&v2ResultMsg{ID: uint64(pi + 1), Epoch: 1, Rows: part}); err != nil {
-			return nil, fmt.Errorf("wire: v2 result encode: %w", err)
-		}
-	}
-	res.V2BytesPerTask = float64(v2.Len()) / float64(rel.NumPartitions())
-	if res.V3BytesPerTask > 0 {
-		res.Reduction = res.V2BytesPerTask / res.V3BytesPerTask
 	}
 	return res, nil
 }
@@ -283,14 +224,14 @@ func WireCodec(opts WireOptions) (*WireCodecResult, error) {
 // FormatWire renders wire results as an aligned table.
 func FormatWire(results []*WireResult) string {
 	var b strings.Builder
-	b.WriteString("Wire: protocol v3 (stage-once + columnar) vs simulated v2 (per-task gob), broadcast-join stage\n")
-	fmt.Fprintf(&b, "%9s %6s %9s %14s %14s %10s %8s %12s %12s %9s %9s %9s\n",
-		"compress", "tasks", "stages", "v2 B/task", "v3 B/task", "reduction", "wall[s]", "enc ns/row", "dec ns/row",
+	b.WriteString("Wire: protocol v3 (stage-once + columnar), broadcast-join stage\n")
+	fmt.Fprintf(&b, "%9s %6s %9s %14s %8s %12s %12s %9s %9s %9s\n",
+		"compress", "tasks", "stages", "v3 B/task", "wall[s]", "enc ns/row", "dec ns/row",
 		"p50[ms]", "p95[ms]", "p99[ms]")
 	for _, r := range results {
-		fmt.Fprintf(&b, "%9v %6d %9d %14.0f %14.0f %9.2fx %8.3f %12.1f %12.1f %9.2f %9.2f %9.2f\n",
-			r.Compress, r.Tasks, r.StagesShipped, r.V2BytesPerTask, r.V3BytesPerTask,
-			r.Reduction, r.WallSec, r.EncodeNsPerRow, r.DecodeNsPerRow,
+		fmt.Fprintf(&b, "%9v %6d %9d %14.0f %8.3f %12.1f %12.1f %9.2f %9.2f %9.2f\n",
+			r.Compress, r.Tasks, r.StagesShipped, r.V3BytesPerTask,
+			r.WallSec, r.EncodeNsPerRow, r.DecodeNsPerRow,
 			r.TaskP50Sec*1e3, r.TaskP95Sec*1e3, r.TaskP99Sec*1e3)
 	}
 	return b.String()

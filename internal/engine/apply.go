@@ -55,9 +55,7 @@ func NewStagePipeline(in relation.Schema, ops []OpDesc) (*StagePipeline, error) 
 		}
 		st := compiledOp{desc: op, in: cur, out: next, ruleIdx: -1}
 		switch op.Kind {
-		case OpFilter:
-			st.prog, err = expr.Compile(op.Expr, cur)
-		case OpAddColumn:
+		case OpFilter, OpAddColumn:
 			st.prog, err = expr.Compile(op.Expr, cur)
 		case OpEvalRule:
 			st.ruleIdx = cur.MustIndex(op.RuleCol)
@@ -159,133 +157,9 @@ func (p *StagePipeline) InputSchema() relation.Schema { return p.in }
 func (p *StagePipeline) OutputSchema() relation.Schema { return p.out }
 
 // Apply runs the pipeline over one partition and returns the produced
-// rows, on the vectorized path unless the Vectorize toggle is off. The
-// input slice is never mutated.
+// rows. The input slice is never mutated.
 func (p *StagePipeline) Apply(part []relation.Row) ([]relation.Row, error) {
-	if Vectorize.Load() {
-		return p.applyVec(part, false)
-	}
-	return p.ApplyRows(part)
-}
-
-// ApplyRows runs the pipeline row-at-a-time regardless of the
-// Vectorize toggle. This is the reference path the differential
-// harness holds the vectorized path bitwise-equal to.
-func (p *StagePipeline) ApplyRows(part []relation.Row) ([]relation.Row, error) {
-	rows := part
-	for i := range p.steps {
-		var err error
-		rows, err = p.steps[i].apply(rows)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
-
-func (st *compiledOp) apply(rows []relation.Row) ([]relation.Row, error) {
-	switch st.desc.Kind {
-	case OpFilter:
-		out := make([]relation.Row, 0, len(rows))
-		env := &expr.RowEnv{Rows: rows}
-		for i := range rows {
-			env.Idx = i
-			if st.prog.EvalBool(env) {
-				out = append(out, rows[i])
-			}
-		}
-		return out, nil
-
-	case OpProject:
-		out := make([]relation.Row, len(rows))
-		for i, r := range rows {
-			nr := make(relation.Row, len(st.colIdx))
-			for k, ci := range st.colIdx {
-				nr[k] = r[ci]
-			}
-			out[i] = nr
-		}
-		return out, nil
-
-	case OpAddColumn:
-		out := make([]relation.Row, len(rows))
-		env := &expr.RowEnv{Rows: rows}
-		for i, r := range rows {
-			env.Idx = i
-			nr := make(relation.Row, len(r)+1)
-			copy(nr, r)
-			nr[len(r)] = st.prog.Eval(env)
-			out[i] = nr
-		}
-		return out, nil
-
-	case OpEvalRule:
-		out := make([]relation.Row, len(rows))
-		env := &expr.RowEnv{Rows: rows}
-		for i, r := range rows {
-			env.Idx = i
-			var v relation.Value
-			src := r[st.ruleIdx].AsString()
-			if src != "" {
-				prog, err := st.rules.get(src)
-				if err != nil {
-					return nil, fmt.Errorf("engine: row rule %q: %w", src, err)
-				}
-				v = prog.Eval(env)
-			}
-			nr := make(relation.Row, len(r)+1)
-			copy(nr, r)
-			nr[len(r)] = v
-			out[i] = nr
-		}
-		return out, nil
-
-	case OpBroadcastJoin:
-		var out []relation.Row
-		for _, r := range rows {
-			h := r.Hash(st.leftIdx...)
-			b := st.hash[h]
-			if b == nil {
-				continue
-			}
-			for _, cand := range b.rows {
-				if !keysEqual(r, cand, st.leftIdx, st.rightIdx) {
-					continue
-				}
-				nr := make(relation.Row, len(r)+len(st.keepIdx))
-				copy(nr, r)
-				for k, ci := range st.keepIdx {
-					nr[len(r)+k] = cand[ci]
-				}
-				out = append(out, nr)
-			}
-		}
-		return out, nil
-
-	case OpDedupConsecutive:
-		out := make([]relation.Row, 0, len(rows))
-		for i, r := range rows {
-			if i > 0 && sameOn(r, rows[i-1], st.colIdx) {
-				continue
-			}
-			out = append(out, r)
-		}
-		return out, nil
-
-	case OpSortWithin:
-		// Governed: in-memory sort.SliceStable when the working set fits
-		// the memory budget, external merge sort otherwise (spill.go).
-		return st.applySort(rows)
-
-	case OpPartialAgg:
-		// Governed: in-memory hash aggregation when it fits, grace hash
-		// aggregation through disk otherwise (spill.go).
-		return st.applyAgg(rows)
-
-	case OpShuffleExchange:
-		return st.applyShuffleExchange(rows)
-	}
-	return nil, fmt.Errorf("engine: unknown op kind %v", st.desc.Kind)
+	return p.execute(part, false)
 }
 
 func keysEqual(l, r relation.Row, li, ri []int) bool {

@@ -390,8 +390,8 @@ func (h *mergeHeap) Less(i, j int) bool {
 	}
 	return h.cs[i].idx < h.cs[j].idx
 }
-func (h *mergeHeap) Swap(i, j int)      { h.cs[i], h.cs[j] = h.cs[j], h.cs[i] }
-func (h *mergeHeap) Push(x any)         { h.cs = append(h.cs, x.(*mergeCursor)) }
+func (h *mergeHeap) Swap(i, j int) { h.cs[i], h.cs[j] = h.cs[j], h.cs[i] }
+func (h *mergeHeap) Push(x any)    { h.cs = append(h.cs, x.(*mergeCursor)) }
 func (h *mergeHeap) Pop() any {
 	c := h.cs[len(h.cs)-1]
 	h.cs = h.cs[:len(h.cs)-1]

@@ -3,15 +3,14 @@ package engine
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ivnt/internal/expr"
 	"ivnt/internal/relation"
 )
 
-// This file is the vectorized batch execution path. Instead of walking
-// one row at a time through each operator — a recursive expression
+// This file is the engine's execution path. Instead of walking one row
+// at a time through each operator — a recursive expression
 // interpretation and a fresh row allocation per operator per row — the
 // pipeline is planned once into segments: maximal runs of fusable
 // window-free Filter/Project/AddColumn steps execute as a single pass
@@ -19,32 +18,18 @@ import (
 // rows exactly once per fused run out of a shared slab, and the
 // remaining operators get batch-aware kernels (notably the broadcast
 // join, which pre-hashes probe keys per batch and skips per-candidate
-// key re-checks on single-key buckets). The row-at-a-time path stays
-// behind ApplyRows as the bit-exact reference; internal/difftest holds
-// the two to bitwise equality on every seeded workload.
-
-// Vectorize selects the execution path used by Apply and
-// ApplyInstrumented on every executor. Default on; flip off to fall
-// back to the row-at-a-time reference path (the differential harness
-// and benchmarks exercise both explicitly).
-var Vectorize atomic.Bool
-
-// RunSkip enables run skipping inside fused filter steps: when
-// consecutive selected rows carry bitwise-identical cells in every
-// column the filter reads, the previous verdict is reused instead of
-// re-evaluating the program. Dict/RLE-encoded segment scans produce
-// exactly this shape — long runs of repeated status values — so on
-// low-cardinality traces most filter evaluations collapse into memcmp
-// of a few cells. Sound because fused filters are window-free (fusable
-// excludes window programs) and every expression builtin is pure: equal
-// inputs give equal verdicts. Default on; the differential harness
-// exercises both settings.
-var RunSkip atomic.Bool
-
-func init() {
-	Vectorize.Store(true)
-	RunSkip.Store(true)
-}
+// key re-checks on single-key buckets). internal/oracle is the
+// row-at-a-time reference; internal/difftest holds the two to bitwise
+// equality on every seeded workload.
+//
+// Fused filters skip runs: when consecutive selected rows carry
+// bitwise-identical cells in every column the filter reads, the
+// previous verdict is reused instead of re-evaluating the program.
+// Dict/RLE-encoded segment scans produce exactly this shape — long runs
+// of repeated status values — so on low-cardinality traces most filter
+// evaluations collapse into memcmp of a few cells. Sound because fused
+// filters are window-free (fusable excludes window programs) and every
+// expression builtin is pure: equal inputs give equal verdicts.
 
 // batchSize is the number of input rows processed per fused batch.
 // 1024 rows keeps a batch's selection vector and scratch columns in
@@ -229,14 +214,9 @@ func cellsSameBits(a, b relation.Row, cols []int32) bool {
 	return true
 }
 
-// ApplyVectorized runs the pipeline over one partition on the
-// vectorized path regardless of the Vectorize toggle. The input slice
-// is never mutated.
-func (p *StagePipeline) ApplyVectorized(part []relation.Row) ([]relation.Row, error) {
-	return p.applyVec(part, false)
-}
-
-func (p *StagePipeline) applyVec(part []relation.Row, instrument bool) ([]relation.Row, error) {
+// execute runs the planned segments over one partition, timing each
+// into engine_op_seconds when instrument is set.
+func (p *StagePipeline) execute(part []relation.Row, instrument bool) ([]relation.Row, error) {
 	sc := vecPool.Get().(*vecScratch)
 	defer vecPool.Put(sc)
 	rows := part
@@ -270,9 +250,9 @@ func (p *StagePipeline) applyVec(part []relation.Row, instrument bool) ([]relati
 	return rows, nil
 }
 
-// applyVecSingle dispatches one non-fused operator to its batch-aware
-// kernel, falling back to the row kernel for operators whose work is
-// inherently whole-partition (dedup, sort, partial agg).
+// applyVecSingle runs one non-fused operator: batch-aware kernels for
+// joins, window programs and rules, whole-partition kernels for dedup,
+// sort, partial agg and the shuffle exchange.
 func (st *compiledOp) applyVecSingle(rows []relation.Row, sc *vecScratch) ([]relation.Row, error) {
 	switch st.desc.Kind {
 	case OpBroadcastJoin:
@@ -283,8 +263,27 @@ func (st *compiledOp) applyVecSingle(rows []relation.Row, sc *vecScratch) ([]rel
 		return applyWindowAddCol(st.prog.Flatten(), rows, sc), nil
 	case OpEvalRule:
 		return st.applyEvalRuleVec(rows, sc)
+	case OpDedupConsecutive:
+		out := make([]relation.Row, 0, len(rows))
+		for i, r := range rows {
+			if i > 0 && sameOn(r, rows[i-1], st.colIdx) {
+				continue
+			}
+			out = append(out, r)
+		}
+		return out, nil
+	case OpSortWithin:
+		// Governed: in-memory sort.SliceStable when the working set fits
+		// the memory budget, external merge sort otherwise (spill.go).
+		return st.applySort(rows)
+	case OpPartialAgg:
+		// Governed: in-memory hash aggregation when it fits, grace hash
+		// aggregation through disk otherwise (spill.go).
+		return st.applyAgg(rows)
+	case OpShuffleExchange:
+		return st.applyShuffleExchange(rows)
 	}
-	return st.apply(rows)
+	return nil, fmt.Errorf("engine: unknown op kind %v", st.desc.Kind)
 }
 
 // runFused executes one fused run over the partition in batches. Per
@@ -317,7 +316,7 @@ func runFused(run *fusedRun, rows []relation.Row, sc *vecScratch) []relation.Row
 			step := &run.steps[si]
 			if step.dst < 0 {
 				kept := sel[:0]
-				if step.skipCols != nil && RunSkip.Load() {
+				if step.skipCols != nil {
 					// Run skipping: selected rows whose referenced cells are
 					// bitwise-identical to the previously evaluated row reuse
 					// its verdict. RLE-shaped data makes these runs long.

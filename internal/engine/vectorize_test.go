@@ -3,7 +3,6 @@ package engine
 import (
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"ivnt/internal/relation"
@@ -58,71 +57,6 @@ func vecJoinTable() *relation.Relation {
 	})
 }
 
-// vecPipelines is the coverage matrix: fused runs in every shape,
-// window programs that must not fuse, joins with duplicate-key
-// buckets, dynamic rules, and the pass-through operators.
-func vecPipelines() map[string][]OpDesc {
-	return map[string][]OpDesc{
-		"filter-only":       {Filter("mid != 2")},
-		"filter-chain":      {Filter("mid != 2"), Filter("byteat(l, 0) < 5")},
-		"project-only":      {Project("mid", "t")},
-		"addcolumn-only":    {AddColumn("b0", relation.KindInt, "byteat(l, 0)")},
-		"fused-f-p-a":       {Filter("mid != 2"), Project("t", "mid", "l", "v"), AddColumn("b0", relation.KindInt, "byteat(l, 0)")},
-		"fused-a-f-p":       {AddColumn("b0", relation.KindInt, "byteat(l, 0)"), Filter("b0 > 1 && !isnull(v)"), Project("t", "b0", "v")},
-		"fused-deep":        {AddColumn("x", relation.KindFloat, "coalesce(v, 0.0)"), AddColumn("y", relation.KindFloat, "x * x + 1"), Filter("y < 50"), Project("t", "y"), AddColumn("z", relation.KindFloat, "y / 2")},
-		"window-filter":     {Filter("isnull(lag(v)) || gap(t) > 0.005")},
-		"window-addcolumn":  {AddColumn("dv", relation.KindFloat, "delta(v)")},
-		"window-mixed":      {Filter("mid != 2"), AddColumn("dt", relation.KindFloat, "gap(t)"), Filter("dt > 0.0"), Project("t", "mid", "dt")},
-		"join":              {BroadcastJoin(vecJoinTable(), []string{"mid"}, []string{"rmid"})},
-		"join-then-rule":    {BroadcastJoin(vecJoinTable(), []string{"mid"}, []string{"rmid"}), EvalRule("val", relation.KindFloat, "rule")},
-		"rule-after-fused":  {Filter("mid == 3 || mid == 1"), BroadcastJoin(vecJoinTable(), []string{"mid"}, []string{"rmid"}), EvalRule("val", relation.KindFloat, "rule"), Filter("!isnull(val)"), Project("t", "sid", "val")},
-		"dedup":             {Project("bid", "mid"), DedupConsecutive("mid")},
-		"sort":              {SortWithin("mid", "t")},
-		"sort-one-key":      {SortWithin("v")},
-		"agg":               {PartialAgg([]string{"mid"}, []AggSpec{{Fn: AggCount, As: "n"}})},
-		"kitchen-sink":      {Filter("mid != 4"), AddColumn("b0", relation.KindInt, "byteat(l, 0)"), BroadcastJoin(vecJoinTable(), []string{"mid"}, []string{"rmid"}), EvalRule("val", relation.KindFloat, "rule"), SortWithin("sid", "t"), DedupConsecutive("sid", "val"), Project("t", "sid", "val")},
-		"empty-pipeline":    {},
-		"addcolumn-strings": {AddColumn("tag", relation.KindString, "upper(bid) + '-' + str(mid)"), Filter("contains(tag, '3')")},
-		"filter-none-pass":  {Filter("mid == 99")},
-		"filter-all-pass":   {Filter("mid >= 0 || isnull(v)")},
-	}
-}
-
-// rowsBitEqual compares rows cell by cell with ==, the bitwise identity.
-func rowsBitEqual(a, b []relation.Row) bool {
-	return slices.EqualFunc(a, b, slices.Equal[relation.Row])
-}
-
-// TestVectorizedMatchesRows is the engine-local differential check:
-// every pipeline shape must produce bitwise-identical output on the
-// vectorized and row-at-a-time paths, including partition sizes that
-// are empty, smaller than a batch, and spanning several batches.
-func TestVectorizedMatchesRows(t *testing.T) {
-	sch := vecTestSchema()
-	for name, ops := range vecPipelines() {
-		t.Run(name, func(t *testing.T) {
-			pipe, err := NewStagePipeline(sch, ops)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, n := range []int{0, 1, 17, batchSize, batchSize + 1, 2*batchSize + 331} {
-				part := vecTestRows(n)
-				want, err := pipe.ApplyRows(part)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := pipe.ApplyVectorized(part)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !rowsBitEqual(got, want) {
-					t.Fatalf("n=%d: vectorized output diverges from row path (%d vs %d rows)", n, len(got), len(want))
-				}
-			}
-		})
-	}
-}
-
 // TestVecPlanShapes pins the planner's fusion decisions: window-free
 // Filter/Project/AddColumn runs fuse, window programs and the
 // remaining operators stay single segments.
@@ -160,8 +94,7 @@ func TestVecPlanShapes(t *testing.T) {
 // TestFusedRunMaterializesOnce checks the fused-output aliasing
 // contract: a fused run with any Project/AddColumn builds fresh
 // slab-backed rows (mutating input afterwards must not leak through),
-// while a filters-only run passes input row references exactly like
-// the row path does.
+// while a filters-only run passes input row references through.
 func TestFusedRunMaterializesOnce(t *testing.T) {
 	sch := vecTestSchema()
 	part := vecTestRows(100)
@@ -170,7 +103,7 @@ func TestFusedRunMaterializesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := pipe.ApplyVectorized(part)
+	out, err := pipe.Apply(part)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,41 +115,12 @@ func TestFusedRunMaterializesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err = filt.ApplyVectorized(part)
+	out, err = filt.Apply(part)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != len(part) || &out[0][0] != &part[0][0] {
 		t.Fatal("filters-only fused run should pass through input row references")
-	}
-}
-
-// TestVectorizeToggle checks Apply and ApplyInstrumented honor the
-// global toggle both ways.
-func TestVectorizeToggle(t *testing.T) {
-	sch := vecTestSchema()
-	pipe, err := NewStagePipeline(sch, []OpDesc{Filter("mid != 2"), AddColumn("b0", relation.KindInt, "byteat(l, 0)")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := vecTestRows(500)
-	if !Vectorize.Load() {
-		t.Fatal("Vectorize must default on")
-	}
-	defer Vectorize.Store(true)
-	for _, on := range []bool{true, false} {
-		Vectorize.Store(on)
-		before := vectorizedBatchesCtr.Value()
-		if _, err := pipe.Apply(part); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pipe.ApplyInstrumented(part); err != nil {
-			t.Fatal(err)
-		}
-		advanced := vectorizedBatchesCtr.Value() > before
-		if advanced != on {
-			t.Fatalf("Vectorize=%v: batch counter advanced=%v", on, advanced)
-		}
 	}
 }
 
@@ -233,7 +137,7 @@ func TestFusedCountersAdvance(t *testing.T) {
 	f0 := fusedStepsCtr[OpFilter].Value()
 	p0 := fusedStepsCtr[OpProject].Value()
 	s0 := fusedStepsCtr[OpSortWithin].Value()
-	if _, err := pipe.ApplyVectorized(vecTestRows(3 * batchSize)); err != nil {
+	if _, err := pipe.Apply(vecTestRows(3 * batchSize)); err != nil {
 		t.Fatal(err)
 	}
 	if got := vectorizedBatchesCtr.Value() - b0; got != 3 {
@@ -264,7 +168,7 @@ func TestDebugMutateSelection(t *testing.T) {
 		return sel
 	}
 	defer func() { DebugMutateSelection = nil }()
-	got, err := pipe.ApplyVectorized(part)
+	got, err := pipe.Apply(part)
 	if err != nil {
 		t.Fatal(err)
 	}

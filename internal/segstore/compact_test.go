@@ -270,31 +270,64 @@ func TestCompactConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestMmapReadEquality: the mapped and pread paths decode identical
-// rows, and the mmap counter moves only when the toggle is on.
+// TestMmapReadEquality: OpenSegment (mapped) and OpenSegmentReaderAt
+// over the same files (pread) decode identical rows, and only the
+// mapped opens move the mmap counter.
 func TestMmapReadEquality(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("no mmap on this platform")
 	}
 	st := openTestStore(t, true)
 	want := fillStore(t, st, 2, 64)
+	paths, err := filepath.Glob(filepath.Join(st.dir, "seg-*.ivsg"))
+	if err != nil || len(paths) != 2 {
+		t.Fatalf("segment files = %v (%v), want 2", paths, err)
+	}
+	readAll := func(g *Segment) []relation.Row {
+		t.Helper()
+		_, rows, err := g.ReadColumns(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
 
-	Mmap.Store(true)
+	var mapped, copied []relation.Row
 	before := mSegmentsMmapped.Value()
-	mapped := storeRows(t, st)
+	for _, p := range paths {
+		g, err := OpenSegment(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped = append(mapped, readAll(g)...)
+		g.Close()
+	}
 	if d := mSegmentsMmapped.Value() - before; d != 2 {
 		t.Fatalf("mmap counter moved by %d, want 2", d)
 	}
 
-	Mmap.Store(false)
 	before = mSegmentsMmapped.Value()
-	copied := storeRows(t, st)
-	Mmap.Store(mmapSupported)
+	for _, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := OpenSegmentReaderAt(f, fi.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		copied = append(copied, readAll(g)...)
+		f.Close()
+	}
 	if d := mSegmentsMmapped.Value() - before; d != 0 {
-		t.Fatalf("mmap counter moved by %d with the toggle off", d)
+		t.Fatalf("mmap counter moved by %d on pread opens", d)
 	}
 
 	if !rowsEq(mapped, copied) || !rowsEq(mapped, want) {
-		t.Fatal("mmap and pread scans differ")
+		t.Fatal("mmap and pread reads differ")
 	}
 }

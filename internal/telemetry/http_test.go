@@ -111,7 +111,7 @@ func TestStartDebugServerOff(t *testing.T) {
 	if err != nil || srv != nil {
 		t.Fatalf("empty addr must be a no-op, got %v %v", srv, err)
 	}
-	srv.Close()                      // nil-safe
+	srv.Close() // nil-safe
 	if srv.Addr() != "" {
 		t.Fatal("nil server addr must be empty")
 	}
