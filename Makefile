@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet vet-metrics gofmt check bench bench-smoke profile difftest difftest-spill difftest-shuffle difftest-scan difftest-query difftest-compact fuzz-smoke stress e2e
+.PHONY: all build test race vet vet-metrics gofmt check bench bench-smoke profile difftest difftest-spill difftest-shuffle difftest-scan difftest-query difftest-compact fuzz-smoke stress e2e e2e-smoke
 
 all: check
 
@@ -131,6 +131,25 @@ E2E_TRACE ?= 0
 e2e:
 	for w in lig-local syn-cluster serve-mixed; do \
 		bash e2ebench/run.sh --workload $$w --seed $(E2E_SEED) --seconds $(E2E_SECONDS) --trace $(E2E_TRACE) || exit 1; \
+	done
+
+# Correctness smoke on real journeys: a short e2ebench run per workload
+# that fails unless its JSON line reads correct:true and failed:0.
+# Every lig-local/syn-cluster journey digest is checked against the
+# oracle and every served request against in-memory counts, so this
+# puts the engine's fused interpretation path on real LIG/SYN data.
+# It gates correctness only; the timings it prints are not checked.
+e2e-smoke:
+	@mkdir -p .bench_build
+	@for w in lig-local syn-cluster serve-mixed; do \
+		out=.bench_build/e2e-smoke-$$w.log; \
+		bash e2ebench/run.sh --workload $$w --seed $(E2E_SEED) --seconds 3 --trace 0 >$$out 2>&1 \
+			|| { tail -n 30 $$out; echo "e2e-smoke: $$w exited non-zero"; exit 1; }; \
+		line=$$(tail -n 1 $$out); \
+		case "$$line" in \
+		*'"correct":true'*'"failed":0,'*) echo "e2e-smoke: $$w correct, 0 failed";; \
+		*) tail -n 30 $$out; echo "e2e-smoke: $$w did not report correct:true, failed:0"; exit 1;; \
+		esac; \
 	done
 
 # Short fuzz pass over every fuzz target, seeded from the checked-in

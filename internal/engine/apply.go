@@ -23,7 +23,8 @@ type compiledOp struct {
 	in   relation.Schema // input schema of this step
 	out  relation.Schema
 	prog *expr.Program // OpFilter, OpAddColumn
-	// broadcast hash table for OpBroadcastJoin
+	// broadcast table and its hash index for OpBroadcastJoin
+	build    []relation.Row
 	hash     map[uint64]*joinBucket
 	rightIdx []int // key column indexes in the broadcast table
 	leftIdx  []int
@@ -34,13 +35,13 @@ type compiledOp struct {
 	less     func(cp []relation.Row) func(a, b int) bool // OpSortWithin, precompiled
 }
 
-// joinBucket is one build-side hash bucket. uniform means every build
-// row in the bucket carries the same key tuple, so a probe row that
-// matches the first row matches them all — the batch join kernel then
-// skips the per-candidate keysEqual re-checks that only a 64-bit hash
-// collision could need.
+// joinBucket is one build-side hash bucket: indexes into the build
+// table, in table order. uniform means every build row in the bucket
+// carries the same key tuple, so a probe row that matches the first
+// row matches them all — the join then skips the per-candidate
+// keysEqual re-checks that only a 64-bit hash collision could need.
 type joinBucket struct {
-	rows    []relation.Row
+	idx     []int32
 	uniform bool
 }
 
@@ -77,17 +78,18 @@ func NewStagePipeline(in relation.Schema, ops []OpDesc) (*StagePipeline, error) 
 					st.keepIdx = append(st.keepIdx, ci)
 				}
 			}
+			st.build = j.Rows
 			st.hash = make(map[uint64]*joinBucket, len(j.Rows))
-			for _, r := range j.Rows {
+			for i, r := range j.Rows {
 				h := r.Hash(st.rightIdx...)
 				b := st.hash[h]
 				if b == nil {
 					b = &joinBucket{uniform: true}
 					st.hash[h] = b
-				} else if b.uniform && !keysEqual(r, b.rows[0], st.rightIdx, st.rightIdx) {
+				} else if b.uniform && !keysEqual(r, j.Rows[b.idx[0]], st.rightIdx, st.rightIdx) {
 					b.uniform = false
 				}
-				b.rows = append(b.rows, r)
+				b.idx = append(b.idx, int32(i))
 			}
 		case OpProject, OpDedupConsecutive, OpSortWithin, OpShuffleExchange:
 			st.colIdx = make([]int, len(op.Cols))

@@ -8,4 +8,8 @@ var (
 	VecTestSchema = vecTestSchema
 	VecTestRows   = vecTestRows
 	VecJoinTable  = vecJoinTable
+	VecRuleTable  = vecRuleTable
+	VecPairTable  = vecPairTable
+	InterpOps     = interpOps
+	VecWideTable  = vecWideTable
 )

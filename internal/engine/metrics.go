@@ -36,8 +36,8 @@ var (
 		"engine_stages_total", "Stage executions.", "executor")
 
 	// vectorizedBatchesCtr counts batches processed by the vectorized
-	// kernels (fused runs, the batch join, and the whole-partition
-	// window/rule kernels). The cluster tests read it to prove remote
+	// kernels (fused runs, join-headed ones included, and the
+	// whole-partition window/rule kernels). The cluster tests read it to prove remote
 	// executors run the vectorized path.
 	vectorizedBatchesCtr = telemetry.Default().Counter(
 		"engine_vectorized_batches_total",

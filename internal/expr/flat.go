@@ -353,28 +353,29 @@ type Machine struct {
 // EvalAt evaluates fp with the cursor on rows[idx]; lag walks backwards
 // through rows, exactly like RowEnv.
 func (m *Machine) EvalAt(fp *FlatProgram, rows []relation.Row, idx int) relation.Value {
-	return m.eval(fp, rows, idx, int(^uint32(0)>>1), nil, 0)
+	return m.eval(fp, rows, idx, rows[idx], int(^uint32(0)>>1), nil, 0)
 }
 
-// EvalColsAt evaluates fp with a split column space: column operands
-// below split read rows[idx] as usual, operands at or above split read
-// extra[col-split][idx-base]. The engine's fused kernels use this to
-// point remapped programs at scratch vectors holding not-yet
-// materialized computed columns. Window opcodes only ever reference
-// row columns (fusion excludes window programs), and evaluate to null
-// on a scratch operand.
-func (m *Machine) EvalColsAt(fp *FlatProgram, rows []relation.Row, idx, split int, extra [][]relation.Value, base int) relation.Value {
-	return m.eval(fp, rows, idx, split, extra, base)
+// EvalSplit evaluates a window-free fp over a split column space:
+// column operands below split read row, operands at or above split read
+// extra[col-split][pos]. The engine's fused kernels use this to point
+// remapped programs at scratch vectors holding not-yet-materialized
+// columns, with pos the row's place in the batch. There is no row
+// history, so window opcodes evaluate to null (fusion excludes window
+// programs).
+func (m *Machine) EvalSplit(fp *FlatProgram, row relation.Row, split int, extra [][]relation.Value, pos int) relation.Value {
+	return m.eval(fp, nil, 0, row, split, extra, pos)
 }
 
-func (m *Machine) eval(fp *FlatProgram, rows []relation.Row, idx, split int, extra [][]relation.Value, base int) relation.Value {
+// eval runs fp on row. rows and idx locate row's history for the window
+// opcodes (nil rows: no history).
+func (m *Machine) eval(fp *FlatProgram, rows []relation.Row, idx int, row relation.Row, split int, extra [][]relation.Value, pos int) relation.Value {
 	if cap(m.stack) < fp.MaxStack {
 		m.stack = make([]relation.Value, fp.MaxStack)
 	}
 	s := m.stack[:cap(m.stack)]
 	sp := 0
 	code := fp.Code
-	row := rows[idx]
 	for pc := 0; pc < len(code); pc++ {
 		ins := code[pc]
 		switch ins.Op {
@@ -385,7 +386,7 @@ func (m *Machine) eval(fp *FlatProgram, rows []relation.Row, idx, split int, ext
 			c := int(ins.A)
 			switch {
 			case c >= split:
-				s[sp] = extra[c-split][idx-base]
+				s[sp] = extra[c-split][pos]
 			case c >= 0 && c < len(row):
 				s[sp] = row[c]
 			default:

@@ -3,6 +3,13 @@
 // raw messages with translation tuples, the u₁ relevant-byte extraction
 // and the u₂ value interpretation, all as one serializable engine stage
 // so it distributes row-parallel across executors.
+//
+// The engine executes the whole stage as one late-materialized fused
+// run (see docs/PERFORMANCE.md): the two joins expand each batch of K_b
+// rows into (message, translation tuple) index pairs without copying,
+// u₁ and u₂ evaluate the tuple's rules, compiled once per distinct rule
+// text, and each K_s row (t, sid, v, bid) is built exactly once. The
+// projection that drops l and m_info after u₁ therefore costs nothing.
 package interp
 
 import (
