@@ -2,11 +2,8 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,11 +120,11 @@ type Driver struct {
 	// Persistent keeps executor connections open across stages instead
 	// of dialing per stage: a slot that finishes a stage cleanly
 	// returns its connection — with the stage-once sentStages and
-	// sentTables caches warm — to a per-address pool the next stage
-	// checks out of. This is the resident mode the query service runs
-	// the driver in (many stages over one daemon lifetime); batch runs
-	// keep the default dial-per-stage lifecycle. Close releases the
-	// pool. A pooled connection whose executor died is detected on
+	// sentTables caches warm — to a per-address pool the next stage or
+	// shuffle map round checks out of. This is the resident mode the
+	// query service runs the driver in (many stages over one daemon
+	// lifetime); batch runs keep the default dial-per-stage lifecycle.
+	// Close releases the pool. A pooled connection whose executor died is detected on
 	// first use and handled by the ordinary reconnect machinery.
 	Persistent bool
 
@@ -158,7 +155,11 @@ func (d *Driver) checkoutConn(addr string) *conn {
 }
 
 // stashConn returns a healthy connection to the pool, reporting whether
-// it was kept (false: caller must close it).
+// it was kept (false: caller must close it). The connection forgets
+// which shuffles it opened: shuffle IDs never repeat, so the ledger
+// would only grow, and the next map round that checks the connection
+// out re-sends its (idempotent) begin exactly as a freshly dialed slot
+// does.
 func (d *Driver) stashConn(addr string, c *conn) bool {
 	if !d.Persistent {
 		return false
@@ -171,6 +172,7 @@ func (d *Driver) stashConn(addr string, c *conn) bool {
 	if d.pool == nil {
 		d.pool = map[string][]*conn{}
 	}
+	clear(c.sentShuffles)
 	d.pool[addr] = append(d.pool[addr], c)
 	return true
 }
@@ -337,19 +339,12 @@ func (d *Driver) backoff(fails int) time.Duration {
 // scan source can name them (engine.ScanStage wires the two up).
 var _ engine.SegmentExecutor = (*Driver)(nil)
 
-// inflightInfo tracks the live dispatches of one task: how many copies
-// are out (original + speculative) and when the oldest was launched.
-type inflightInfo struct {
-	n     int
-	start time.Time
-}
-
-// stageRun is the shared scheduling state of one RunStage call. Tasks
-// are partition indexes flowing through work; pending counts tasks not
-// yet completed. Slots survive transport failures by reconnecting; the
-// stage fails only when a task exhausts its retry budget, the context
-// is cancelled, or every slot has retired with work outstanding.
+// stageRun is one RunStage/RunSegmentStage call: its task queue (one
+// task per partition) plus what the stage's round trips ship and what
+// commits assemble.
 type stageRun struct {
+	*taskQueue
+	d        *Driver
 	rel      *relation.Relation
 	outParts [][]relation.Row
 
@@ -371,303 +366,7 @@ type stageRun struct {
 	opsWire   []engine.OpDesc
 	tables    []tableMsg
 	outSchema relation.Schema
-	compress  bool
-	level     int
-
-	mu        sync.Mutex
-	work      chan int
-	closed    bool
-	pending   int
-	done      []bool
-	attempts  []int
-	epoch     []int
-	specs     []int
-	panics    []int
-	inflight  map[int]inflightInfo
-	durations []time.Duration
-	// encParts caches each partition's columnar encoding so retries and
-	// speculative copies reuse the bytes instead of re-encoding.
-	encParts [][]byte
-
-	// stats is the single accumulation point for this stage's counters:
-	// slots and the speculation monitor write through its atomics, the
-	// final engine.Stats is its snapshot, and Driver.LiveStats snapshots
-	// it mid-flight. No counter lives behind sr.mu.
-	stats *engine.StatsCollector
-
-	// stageSpan/spans carry the stage's trace; nil when tracing is off
-	// (all span operations on nil are no-ops). tasks mirrors scheduling
-	// state for /tasks; nil-safe the same way.
-	stageSpan *telemetry.Span
-	spans     []*telemetry.Span
-	tasks     *telemetry.TaskTable
-
-	firstErr error
-	cancel   context.CancelFunc
-}
-
-// spanFor returns the trace span of task pi, or nil when tracing is
-// off.
-func (sr *stageRun) spanFor(pi int) *telemetry.Span {
-	if sr.spans == nil {
-		return nil
-	}
-	return sr.spans[pi]
-}
-
-// closeWorkLocked closes the work channel exactly once; callers hold
-// sr.mu.
-func (sr *stageRun) closeWorkLocked() {
-	if !sr.closed {
-		sr.closed = true
-		close(sr.work)
-	}
-}
-
-func (sr *stageRun) finished() bool {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	return sr.closed
-}
-
-func (sr *stageRun) fail(err error) {
-	sr.mu.Lock()
-	if sr.firstErr == nil {
-		sr.firstErr = err
-	}
-	sr.closeWorkLocked()
-	sr.mu.Unlock()
-	sr.cancel()
-}
-
-func (sr *stageRun) noteReconnect(addr string) {
-	sr.stats.Reconnects.Add(1)
-	mReconnects.With(addr).Inc()
-	sr.stageSpan.Event("reconnect", telemetry.A("addr", addr))
-}
-
-func (sr *stageRun) noteDeadline(pi int) {
-	sr.stats.DeadlineHits.Add(1)
-	mDeadlineHits.Inc()
-	sr.spanFor(pi).Event("deadline_hit")
-}
-
-func (sr *stageRun) noteStageShipped() {
-	sr.stats.StagesShipped.Add(1)
-	mStagesShipped.Inc()
-}
-
-// notePanic counts a contained executor panic against task pi and
-// returns the new total; the slot quarantines the task once it reaches
-// the driver's panic retry limit.
-func (sr *stageRun) notePanic(pi int) int {
-	sr.mu.Lock()
-	sr.panics[pi]++
-	n := sr.panics[pi]
-	sr.mu.Unlock()
-	mTaskPanics.Inc()
-	sr.spanFor(pi).Event("task_panic", telemetry.A("count", n))
-	return n
-}
-
-// noteAdmissionDeferral records one pressure-induced dispatch pause.
-func (sr *stageRun) noteAdmissionDeferral(addr string) {
-	sr.stats.AdmissionDeferrals.Add(1)
-	mAdmissionDeferrals.Inc()
-	sr.stageSpan.Event("admission_deferral", telemetry.A("addr", addr))
-}
-
-func (sr *stageRun) noteDecode(d time.Duration) {
-	sr.stats.DecodeNs.Add(int64(d))
-}
-
-// harvestBytes folds a connection's byte counters into the stage
-// totals; called exactly once per connection, when it is closed.
-func (sr *stageRun) harvestBytes(c *conn) {
-	w, r := c.takeCounts()
-	sr.stats.BytesSent.Add(w)
-	sr.stats.BytesRecv.Add(r)
-	mBytesSent.Add(w)
-	mBytesRecv.Add(r)
-}
-
-// encodedPartition returns (caching) the columnar encoding of partition
-// pi. Re-dispatches of a task (retries, speculation) reuse the bytes.
-func (sr *stageRun) encodedPartition(pi int) ([]byte, error) {
-	sr.mu.Lock()
-	if b := sr.encParts[pi]; b != nil {
-		sr.mu.Unlock()
-		return b, nil
-	}
-	sr.mu.Unlock()
-	start := time.Now()
-	b, err := colcodec.Encode(sr.rel.Schema, sr.rel.Partitions[pi], colcodec.Options{Compress: sr.compress, Level: sr.level})
-	if err != nil {
-		return nil, err
-	}
-	sr.stats.EncodeNs.Add(int64(time.Since(start)))
-	sr.mu.Lock()
-	if sr.encParts[pi] == nil {
-		sr.encParts[pi] = b
-	} else {
-		b = sr.encParts[pi] // lost a benign double-encode race
-	}
-	sr.mu.Unlock()
-	return b, nil
-}
-
-// dispatch registers one launch of task pi and returns its epoch. A
-// task that already completed (e.g. a stale speculative queue entry)
-// is not dispatched again.
-func (sr *stageRun) dispatch(pi int) (epoch int, ok bool) {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	if sr.closed || sr.done[pi] {
-		return 0, false
-	}
-	sr.epoch[pi]++
-	fl := sr.inflight[pi]
-	if fl.n == 0 {
-		fl.start = time.Now()
-	}
-	fl.n++
-	sr.inflight[pi] = fl
-	mInflight.Add(1)
-	return sr.epoch[pi], true
-}
-
-// commit records a completed task. The first result for a partition
-// wins; duplicates from speculative copies are discarded.
-func (sr *stageRun) commit(pi int, rows []relation.Row) {
-	sr.mu.Lock()
-	started := sr.dropInflightLocked(pi)
-	if sr.done[pi] || sr.closed {
-		sr.mu.Unlock()
-		return
-	}
-	sr.done[pi] = true
-	sr.outParts[pi] = rows
-	if !started.IsZero() {
-		sr.durations = append(sr.durations, time.Since(started))
-	}
-	sr.pending--
-	finished := sr.pending == 0
-	if finished {
-		sr.closeWorkLocked()
-	}
-	sr.mu.Unlock()
-	if !started.IsZero() {
-		engine.ObserveTask("cluster", time.Since(started))
-	}
-	sp := sr.spanFor(pi)
-	sp.Event("merged")
-	sp.End()
-	sr.tasks.Done(pi)
-	if finished {
-		// Unblock slots whose connections are mid-read (e.g. a stalled
-		// executor that lost the speculation race).
-		sr.cancel()
-	}
-}
-
-func (sr *stageRun) dropInflightLocked(pi int) time.Time {
-	fl, ok := sr.inflight[pi]
-	if !ok {
-		return time.Time{}
-	}
-	start := fl.start
-	fl.n--
-	if fl.n <= 0 {
-		delete(sr.inflight, pi)
-	} else {
-		sr.inflight[pi] = fl
-	}
-	mInflight.Add(-1)
-	return start
-}
-
-// abandon records a transport failure of one launch of task pi and
-// requeues the task unless another copy is still in flight or the
-// retry budget is exhausted (which fails the stage).
-func (sr *stageRun) abandon(pi, maxRetries int, cause error, addr string) {
-	sr.mu.Lock()
-	sr.dropInflightLocked(pi)
-	if sr.done[pi] || sr.closed {
-		sr.mu.Unlock()
-		return
-	}
-	sr.attempts[pi]++
-	sr.stats.Retries.Add(1)
-	attempts := sr.attempts[pi]
-	tooMany := attempts > maxRetries
-	if !tooMany {
-		if fl, live := sr.inflight[pi]; !live || fl.n <= 0 {
-			sr.work <- pi
-		}
-	}
-	sr.mu.Unlock()
-	mRetries.Inc()
-	sr.spanFor(pi).Event("task_retry",
-		telemetry.A("attempt", attempts), telemetry.A("addr", addr), telemetry.A("cause", cause.Error()))
-	sr.tasks.Retrying(pi)
-	if tooMany {
-		sr.fail(fmt.Errorf("cluster: partition %d failed %d times (last on %s): %w", pi, attempts, addr, cause))
-	}
-}
-
-// speculate is the straggler monitor: any task whose oldest in-flight
-// copy has been running longer than factor× the median completed-task
-// duration (floored at min) is re-enqueued, up to maxPer copies.
-func (sr *stageRun) speculate(ctx context.Context, factor float64, min, interval time.Duration, maxPer int) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		sr.mu.Lock()
-		if sr.closed {
-			sr.mu.Unlock()
-			return
-		}
-		med := medianDuration(sr.durations)
-		if med <= 0 {
-			sr.mu.Unlock()
-			continue
-		}
-		thr := time.Duration(factor * float64(med))
-		if thr < min {
-			thr = min
-		}
-		now := time.Now()
-		var launched []int
-		for pi, fl := range sr.inflight {
-			if fl.n == 1 && !sr.done[pi] && sr.specs[pi] < maxPer && now.Sub(fl.start) > thr {
-				sr.specs[pi]++
-				sr.stats.Speculative.Add(1)
-				sr.work <- pi
-				launched = append(launched, pi)
-			}
-		}
-		sr.mu.Unlock()
-		for _, pi := range launched {
-			mSpeculative.Inc()
-			sr.stageSpan.Event("speculation", telemetry.A("task", pi))
-			sr.tasks.Speculative(pi)
-		}
-	}
-}
-
-func medianDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	c := make([]time.Duration, len(ds))
-	copy(c, ds)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	return c[len(c)/2]
+	inputs    *partEncoder
 }
 
 // RunStage implements engine.Executor: each partition becomes one task,
@@ -745,32 +444,19 @@ func (d *Driver) RunSegmentStage(ctx context.Context, refs []engine.SegmentRef, 
 	return d.drive(ctx, sr, start, rowsIn)
 }
 
-// newStageRun builds the scheduling state shared by RunStage and
-// RunSegmentStage. The work channel capacity covers every task being
-// requeued up to the retry budget plus every speculative launch, so no
-// send ever blocks.
+// newStageRun builds the state shared by RunStage and RunSegmentStage.
 func (d *Driver) newStageRun(rel *relation.Relation, fp uint64, opsWire []engine.OpDesc, tables []tableMsg, outSchema relation.Schema) *stageRun {
-	nParts := len(rel.Partitions)
+	stats := engine.NewStatsCollector()
 	return &stageRun{
+		taskQueue: d.newTaskQueue(len(rel.Partitions), "partition", stats, d.Tasks),
+		d:         d,
 		rel:       rel,
 		fp:        fp,
 		opsWire:   opsWire,
 		tables:    tables,
 		outSchema: outSchema,
-		compress:  d.Compress,
-		level:     d.CompressLevel,
-		outParts:  make([][]relation.Row, nParts),
-		work:      make(chan int, nParts*(d.retries()+d.maxSpeculation()+2)),
-		pending:   nParts,
-		done:      make([]bool, nParts),
-		attempts:  make([]int, nParts),
-		epoch:     make([]int, nParts),
-		specs:     make([]int, nParts),
-		panics:    make([]int, nParts),
-		encParts:  make([][]byte, nParts),
-		inflight:  make(map[int]inflightInfo),
-		stats:     engine.NewStatsCollector(),
-		tasks:     d.Tasks,
+		outParts:  make([][]relation.Row, len(rel.Partitions)),
+		inputs:    d.newPartEncoder(rel, stats),
 	}
 }
 
@@ -781,9 +467,6 @@ func (d *Driver) newStageRun(rel *relation.Relation, fp uint64, opsWire []engine
 // here).
 func (d *Driver) drive(ctx context.Context, sr *stageRun, start time.Time, rowsIn int) (*relation.Relation, engine.Stats, error) {
 	nParts := len(sr.outParts)
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sr.cancel = cancel
 	d.live.Store(sr.stats)
 	fpHex := fmt.Sprintf("%016x", sr.fp)
 	if d.Tracer.Enabled() {
@@ -802,18 +485,13 @@ func (d *Driver) drive(ctx context.Context, sr *stageRun, start time.Time, rowsI
 	// the stage pipeline over an empty partition, computed on the
 	// driver. Each pruned partition gets its own ApplyContained call so
 	// no output rows alias across partitions.
-	live := 0
 	for pi := 0; pi < nParts; pi++ {
 		if sr.segs != nil && sr.segs[pi].Pruned {
 			rows, err := sr.prunedPipe.ApplyContained(nil)
 			if err != nil {
 				return nil, engine.Stats{}, err
 			}
-			sr.mu.Lock()
-			sr.done[pi] = true
-			sr.outParts[pi] = rows
-			sr.pending--
-			sr.mu.Unlock()
+			sr.skip(pi, func() { sr.outParts[pi] = rows })
 			if sp := sr.spanFor(pi); sp != nil {
 				sp.Event("pruned")
 				sp.End()
@@ -822,45 +500,12 @@ func (d *Driver) drive(ctx context.Context, sr *stageRun, start time.Time, rowsI
 			continue
 		}
 		sr.work <- pi
-		live++
-	}
-	if live == 0 {
-		sr.mu.Lock()
-		sr.closeWorkLocked()
-		sr.mu.Unlock()
 	}
 
-	if f := d.speculationFactor(); f > 0 && live > 0 {
-		go sr.speculate(cctx, f, d.speculationMin(), d.speculationInterval(), d.maxSpeculation())
+	if err := d.runQueue(ctx, sr.taskQueue, sr.sendTask, true); err != nil {
+		return nil, engine.Stats{}, err
 	}
-
-	var wg sync.WaitGroup
-	for _, addr := range d.Addrs {
-		for s := 0; s < d.slots(); s++ {
-			wg.Add(1)
-			go func(addr string) {
-				defer wg.Done()
-				d.runSlot(cctx, addr, sr)
-			}(addr)
-		}
-	}
-	wg.Wait()
-
-	sr.mu.Lock()
-	firstErr, pending := sr.firstErr, sr.pending
-	sr.mu.Unlock()
 	st := sr.stats.Snapshot()
-	// A user cancellation must surface as such, not as a transport
-	// failure or an "undeliverable" stage.
-	if ctx.Err() != nil {
-		return nil, engine.Stats{}, ctx.Err()
-	}
-	if firstErr != nil {
-		return nil, engine.Stats{}, firstErr
-	}
-	if pending > 0 {
-		return nil, engine.Stats{}, fmt.Errorf("cluster: %d partition(s) undeliverable: no executor reachable", pending)
-	}
 	out := &relation.Relation{Schema: sr.outSchema, Partitions: sr.outParts}
 	st.RowsIn = rowsIn
 	st.RowsOut = out.NumRows()
@@ -908,276 +553,17 @@ func (d *Driver) stageWire(schema relation.Schema, ops []engine.OpDesc) (fp uint
 	return fp, opsWire, tables, nil
 }
 
-// connect dials and handshakes one executor connection.
-func (d *Driver) connect(ctx context.Context, addr string) (*conn, error) {
-	dialer := net.Dialer{Timeout: d.dialTimeout()}
-	raw, err := dialer.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c := newConn(raw)
-	if err := c.handshake(d.dialTimeout()); err != nil {
-		c.close()
-		return nil, err
-	}
-	return c, nil
-}
-
-// runSlot owns one executor connection. Transport failures no longer
-// retire the slot: the in-flight task is requeued and the slot
-// reconnects with capped exponential backoff, so executors that
-// restart mid-stage rejoin. Only SlotFailureLimit consecutive failures
-// retire the slot, bounding the damage of a persistently dead or
-// flaky executor (it must not starve the retry budget of healthy
-// ones).
-func (d *Driver) runSlot(ctx context.Context, addr string, sr *stageRun) {
-	var c *conn
-	var stopWatch func() bool
-	// dropConn hard-closes the connection (transport failures, and
-	// every stage end for non-persistent drivers).
-	dropConn := func() {
-		if c != nil {
-			if stopWatch != nil {
-				stopWatch()
-			}
-			c.close()
-			sr.harvestBytes(c)
-			c = nil
-		}
-	}
-	// releaseConn runs at slot exit: a healthy idle connection goes
-	// back to the persistent pool (watcher stopped in time, or it ran
-	// but skipped the close because the connection was idle); anything
-	// else closes.
-	releaseConn := func() {
-		if c == nil {
-			return
-		}
-		stopped := stopWatch == nil || stopWatch()
-		sr.harvestBytes(c)
-		if (stopped || !c.busy.Load()) && d.stashConn(addr, c) {
-			c = nil
-			return
-		}
-		c.close()
-		c = nil
-	}
-	defer releaseConn()
-
-	fails := 0      // consecutive dial/transport failures
-	dialed := false // ever connected successfully
-	for {
-		if ctx.Err() != nil || sr.finished() {
-			return
-		}
-		if c == nil {
-			if fails == 0 {
-				c = d.checkoutConn(addr)
-			}
-			if c == nil {
-				if fails > 0 {
-					if !sleepCtx(ctx, d.backoff(fails)) {
-						return
-					}
-				}
-				nc, err := d.connect(ctx, addr)
-				if err != nil {
-					fails++
-					if fails >= d.slotFailureLimit() {
-						return
-					}
-					continue
-				}
-				c = nc
-				if dialed || fails > 0 {
-					sr.noteReconnect(addr)
-				}
-				dialed = true
-			}
-			// Close the connection when the stage ends so a slot blocked
-			// in a read (stalled executor, stage already complete) wakes.
-			// A persistent driver's watcher leaves idle connections open:
-			// they are not blocking anything and releaseConn pools them.
-			nc := c
-			watched := make(chan struct{})
-			stop := context.AfterFunc(ctx, func() {
-				defer close(watched)
-				if !d.Persistent || nc.busy.Load() {
-					nc.close()
-				}
-			})
-			// A watcher that already started must finish before the
-			// connection moves on: run late, it would otherwise find
-			// the connection busy with the NEXT stage's task and close
-			// it out of the pool.
-			stopWatch = func() bool {
-				if stop() {
-					return true
-				}
-				<-watched
-				return false
-			}
-		}
-		var pi int
-		var ok bool
-		select {
-		case <-ctx.Done():
-			return
-		case pi, ok = <-sr.work:
-			if !ok {
-				return
-			}
-		}
-		ep, ok := sr.dispatch(pi)
-		if !ok {
-			continue
-		}
-		sr.spanFor(pi).Event("shipped", telemetry.A("addr", addr), telemetry.A("epoch", ep))
-		sr.tasks.Running(pi, addr, ep)
-		c.busy.Store(true)
-		if ctx.Err() != nil {
-			// The stage-end watcher may have observed the connection
-			// idle a moment ago and left it open; nobody would unblock
-			// a read started now, so bail out. busy stays set so
-			// releaseConn closes instead of pooling (the watcher may
-			// have closed the connection concurrently).
-			return
-		}
-		pressured, err := d.sendTask(c, sr, pi, ep)
-		c.busy.Store(false)
-		if err == nil {
-			fails = 0
-			if pressured {
-				// Admission control: the executor reported memory
-				// pressure in the result frame, so this slot backs off
-				// before taking more work instead of piling on.
-				sr.noteAdmissionDeferral(addr)
-				if !sleepCtx(ctx, d.admissionPause()) {
-					return
-				}
-			}
-			continue
-		}
-		if tf, isTF := err.(*taskFailure); isTF && tf.taskErr != nil {
-			// The transport round-trip succeeded; the task itself failed.
-			// The connection stays healthy either way.
-			fails = 0
-			switch {
-			case tf.panicked:
-				// A contained executor panic is worth a bounded number
-				// of retries (it may be machine-local), but a task that
-				// panics everywhere is poisoned: quarantine it with a
-				// diagnostic instead of retrying forever.
-				if n := sr.notePanic(pi); n >= d.panicRetryLimit() {
-					sr.fail(fmt.Errorf("cluster: partition %d poisoned: %d contained panic(s), last on %s: %w",
-						pi, n, addr, tf.taskErr))
-					return
-				}
-				sr.abandon(pi, d.retries(), tf.taskErr, addr)
-			case tf.retryable:
-				// Environmental task failure (e.g. disk full during
-				// spill): requeue like a transport failure.
-				sr.abandon(pi, d.retries(), tf.taskErr, addr)
-			default:
-				sr.fail(tf.taskErr)
-				return
-			}
-			continue
-		}
-		if isTimeout(err) {
-			sr.noteDeadline(pi)
-		}
-		sr.abandon(pi, d.retries(), err, addr)
-		dropConn()
-		fails++
-		if fails >= d.slotFailureLimit() {
-			return
-		}
-	}
-}
-
-// sleepCtx sleeps for dur or until ctx is done; it reports whether the
-// full sleep elapsed.
-func sleepCtx(ctx context.Context, dur time.Duration) bool {
-	if dur <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(dur)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// isTimeout reports whether a transport error was caused by an expired
-// read/write deadline (as opposed to a closed or reset connection).
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// taskFailure distinguishes task errors (the executor ran the task and
-// reported failure) from transport errors (retry elsewhere). Task
-// errors are further classified by the executor's result flags:
-// retryable (environmental, e.g. spill I/O — requeue) and panicked (a
-// contained panic — retry up to the panic limit, then quarantine);
-// unflagged task errors are deterministic and abort the stage.
-type taskFailure struct {
-	taskErr   error // executor-reported task failure
-	ioErr     error // transport failure
-	retryable bool
-	panicked  bool
-}
-
-// Error implements error.
-func (t *taskFailure) Error() string {
-	if t.taskErr != nil {
-		return t.taskErr.Error()
-	}
-	return t.ioErr.Error()
-}
-
-func (t *taskFailure) Unwrap() error {
-	if t.taskErr != nil {
-		return t.taskErr
-	}
-	return t.ioErr
-}
-
-// sendTask runs one task round trip on c. It returns pressured=true
-// when the executor's result frame reported memory pressure at or
-// above the admission threshold (the slot then defers its next
-// dispatch).
-func (d *Driver) sendTask(c *conn, sr *stageRun, pi, epoch int) (pressured bool, err error) {
+// sendTask is the stage round trip: ship the stage if c lacks it, send
+// the task (an encoded partition or a segment reference), and decode
+// the result rows, which store commits as partition pi's output.
+func (sr *stageRun) sendTask(c *conn, _ string, pi, epoch int) (store func(), pressured bool, err error) {
+	d := sr.d
 	if tt := d.taskTimeout(); tt > 0 {
 		_ = c.raw.SetDeadline(time.Now().Add(tt))
 		defer func() { _ = c.raw.SetDeadline(time.Time{}) }()
 	}
-	// Ship the stage first if this connection has not seen it yet —
-	// once per stage per connection, so a reconnected (restarted)
-	// executor receives it again, and broadcast tables the connection
-	// already holds are not re-sent even across stages.
-	if !c.sentStages[sr.fp] {
-		msg := stageMsg{Fingerprint: sr.fp, Schema: sr.rel.Schema, Ops: sr.opsWire}
-		for _, tbl := range sr.tables {
-			if !c.sentTables[tbl.Hash] {
-				msg.Tables = append(msg.Tables, tbl)
-			}
-		}
-		if err := c.enc.Encode(frameHdr{Kind: frameStage}); err != nil {
-			return false, &taskFailure{ioErr: err}
-		}
-		if err := c.enc.Encode(msg); err != nil {
-			return false, &taskFailure{ioErr: err}
-		}
-		c.sentStages[sr.fp] = true
-		for _, tbl := range msg.Tables {
-			c.sentTables[tbl.Hash] = true
-		}
-		sr.noteStageShipped()
+	if err := shipStage(c, sr.stats, sr.fp, sr.rel.Schema, sr.opsWire, sr.tables); err != nil {
+		return nil, false, err
 	}
 	task := taskMsg{ID: uint64(pi), Epoch: uint64(epoch), Stage: sr.fp, Span: sr.spanFor(pi).ID()}
 	if sr.segs != nil {
@@ -1186,22 +572,22 @@ func (d *Driver) sendTask(c *conn, sr *stageRun, pi, epoch int) (pressured bool,
 		task.SegPath = sr.segs[pi].Path
 		task.SegCols = sr.segs[pi].Cols
 	} else {
-		data, err := sr.encodedPartition(pi)
+		data, err := sr.inputs.get(pi)
 		if err != nil {
 			// Encoding is driver-local and deterministic: abort, don't retry.
-			return false, &taskFailure{taskErr: fmt.Errorf("cluster: task %d: encode partition: %w", pi, err)}
+			return nil, false, &taskFailure{taskErr: fmt.Errorf("cluster: task %d: encode partition: %w", pi, err)}
 		}
 		task.Data = data
 	}
 	if err := c.enc.Encode(frameHdr{Kind: frameTask}); err != nil {
-		return false, &taskFailure{ioErr: err}
+		return nil, false, &taskFailure{ioErr: err}
 	}
 	if err := c.enc.Encode(task); err != nil {
-		return false, &taskFailure{ioErr: err}
+		return nil, false, &taskFailure{ioErr: err}
 	}
 	var res resultMsg
 	if err := c.dec.Decode(&res); err != nil {
-		return false, &taskFailure{ioErr: err}
+		return nil, false, &taskFailure{ioErr: err}
 	}
 	// Memory pressure rides on every result frame, success or failure
 	// (gob-additive v3 fields; old executors leave them zero, which
@@ -1210,29 +596,24 @@ func (d *Driver) sendTask(c *conn, sr *stageRun, pi, epoch int) (pressured bool,
 		pressured = float64(res.MemUsed) >= thr*float64(res.MemBudget)
 	}
 	if res.Err != "" {
-		return pressured, &taskFailure{
+		return nil, pressured, &taskFailure{
 			taskErr:   fmt.Errorf("cluster: task %d: %s", pi, res.Err),
 			retryable: res.Retryable,
 			panicked:  res.Panicked,
 		}
 	}
 	if res.ID != uint64(pi) || res.Epoch != uint64(epoch) {
-		return pressured, &taskFailure{ioErr: fmt.Errorf("cluster: task id/epoch mismatch: sent %d/%d got %d/%d", pi, epoch, res.ID, res.Epoch)}
+		return nil, pressured, &taskFailure{ioErr: fmt.Errorf("cluster: task id/epoch mismatch: sent %d/%d got %d/%d", pi, epoch, res.ID, res.Epoch)}
 	}
 	dstart := time.Now()
 	rows, err := colcodec.Decode(sr.outSchema, res.Data)
 	if err != nil {
 		// A payload that gob-decoded but fails the columnar codec is
 		// wire corruption: retryable, like any broken frame.
-		return pressured, &taskFailure{ioErr: fmt.Errorf("cluster: task %d: decode result: %w", pi, err)}
+		return nil, pressured, &taskFailure{ioErr: fmt.Errorf("cluster: task %d: decode result: %w", pi, err)}
 	}
 	driverDecode := time.Since(dstart)
-	sr.noteDecode(driverDecode)
-	// The round trip's I/O is complete: clear busy before the commit so
-	// that, when this is the stage's last task, the stage-end watcher
-	// the commit triggers sees an idle connection and leaves it for the
-	// persistent pool instead of closing it.
-	c.busy.Store(false)
+	sr.stats.DecodeNs.Add(int64(driverDecode))
 	if sp := sr.spanFor(pi); sp != nil {
 		// The executor's timing breakdown (echoed in the result) places
 		// remote work on the driver's trace without clock agreement.
@@ -1243,6 +624,5 @@ func (d *Driver) sendTask(c *conn, sr *stageRun, pi, epoch int) (pressured bool,
 			telemetry.A("exec_us", time.Duration(res.ExecNs).Microseconds()),
 			telemetry.A("remote_encode_us", time.Duration(res.EncodeNs).Microseconds()))
 	}
-	sr.commit(pi, rows)
-	return pressured, nil
+	return func() { sr.outParts[pi] = rows }, pressured, nil
 }

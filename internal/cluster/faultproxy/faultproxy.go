@@ -52,10 +52,11 @@ type Proxy struct {
 	backend string
 	ln      net.Listener
 
-	mu    sync.Mutex
-	plan  Plan
-	links map[*link]struct{}
-	wg    sync.WaitGroup
+	mu       sync.Mutex
+	plan     Plan
+	consumed bool
+	links    map[*link]struct{}
+	wg       sync.WaitGroup
 }
 
 // New starts a proxy on a loopback port forwarding to backend
@@ -78,7 +79,17 @@ func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 func (p *Proxy) SetPlan(plan Plan) {
 	p.mu.Lock()
 	p.plan = plan
+	p.consumed = false
 	p.mu.Unlock()
+}
+
+// Consumed reports whether a Once plan set by the last SetPlan has been
+// applied to a connection — that is, whether the scripted fault met
+// any traffic at all.
+func (p *Proxy) Consumed() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.consumed
 }
 
 // Reset returns the proxy to passthrough mode.
@@ -113,6 +124,7 @@ func (p *Proxy) takePlan() Plan {
 	plan := p.plan
 	if plan.Once {
 		p.plan = Passthrough()
+		p.consumed = true
 	}
 	return plan
 }

@@ -189,3 +189,36 @@ func TestOnceRevertsToPassthrough(t *testing.T) {
 		t.Fatalf("echo after Once revert = %q", got)
 	}
 }
+
+func TestOnceReportsConsumed(t *testing.T) {
+	backend, cleanup := echoServer(t)
+	defer cleanup()
+	p, err := New(backend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	plan := Passthrough()
+	plan.Refuse = true
+	plan.Once = true
+	p.SetPlan(plan)
+	if p.Consumed() {
+		t.Fatal("Consumed before any connection")
+	}
+
+	c := dialProxy(t, p)
+	defer c.Close()
+	one := make([]byte, 1)
+	_ = c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := c.Read(one); err == nil {
+		t.Fatal("refused connection must be closed")
+	}
+	if !p.Consumed() {
+		t.Fatal("Once plan applied to a connection but not reported consumed")
+	}
+	// A new plan starts unconsumed again.
+	p.SetPlan(plan)
+	if p.Consumed() {
+		t.Fatal("SetPlan must reset Consumed")
+	}
+}

@@ -9,6 +9,7 @@ import (
 
 	"ivnt/internal/engine"
 	"ivnt/internal/memgov"
+	"ivnt/internal/relation"
 )
 
 // resetExecDebug disarms the engine debug hooks shared by the
@@ -77,6 +78,52 @@ func TestPanicQuarantine(t *testing.T) {
 		t.Fatalf("executors unusable after contained panics: %v", err)
 	}
 	mustMatchLocal(t, ctx, got, rel, stageOps())
+}
+
+// TestShuffleMapPoisoned: a shuffle map task that panics on every
+// executor gets the same quarantine as a stage task — PanicRetryLimit
+// contained panics, then a "poisoned" diagnostic — instead of burning
+// the whole MaxRetries budget executor by executor.
+func TestShuffleMapPoisoned(t *testing.T) {
+	resetExecDebug(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	addrs, stop, err := StartLocalCluster(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+
+	engine.SetDebugApplyHook(func() { panic("map kernel blew up") })
+	drv := &Driver{
+		Addrs:         addrs,
+		MaxRetries:    8,
+		ReconnectBase: 10 * time.Millisecond,
+	}
+	mapOps := []engine.OpDesc{engine.AddColumn("w", relation.KindFloat, "v * 0.5")}
+	before, inflight := mTaskPanics.Value(), mInflight.Value()
+	_, _, err = drv.ShuffleMaterialize(ctx, keyedRel(400, 4), mapOps, []string{"k"}, 4)
+	if err == nil {
+		t.Fatal("a permanently panicking map task must fail the shuffle")
+	}
+	if !strings.Contains(err.Error(), "poisoned") || !strings.Contains(err.Error(), "blew up") {
+		t.Fatalf("quarantine diagnostic carrying the contained panic missing, got: %v", err)
+	}
+	if d := mTaskPanics.Value() - before; d < 2 {
+		t.Fatalf("cluster_task_panics_total delta = %d, want >= 2 (retry before quarantine)", d)
+	}
+	if got := mInflight.Value(); got != inflight {
+		t.Fatalf("cluster_inflight_tasks = %v after the failed round, want %v", got, inflight)
+	}
+
+	// The executors survive to run the next shuffle.
+	engine.SetDebugApplyHook(nil)
+	rel := keyedRel(400, 4)
+	got, _, err := drv.ShuffleMaterialize(ctx, rel, mapOps, []string{"k"}, 4)
+	if err != nil {
+		t.Fatalf("executors unusable after contained map panics: %v", err)
+	}
+	mustSamePartitioned(t, "after poisoned map", shuffleChaosWant(t, ctx, rel, mapOps, 4), got)
 }
 
 // TestPanicRetryRecovers: a task panics exactly once; the retried

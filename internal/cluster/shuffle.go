@@ -4,11 +4,11 @@
 // executor receives the shuffle's configuration — the peer endpoint
 // map, fan-out, hash keys and payload schema — once per connection,
 // re-sent on reconnect exactly like stage shipments. Map: each input
-// partition becomes one map task dispatched through a retrying work
-// queue; the executor runs the shipped pipeline over it, splits the
-// output by key hash (engine.ShuffleSplit, whose bucket assignment is
-// relation.Row.Bucket — the same authority Relation.PartitionByKey
-// uses), and pushes every bucket directly to the partition's owner,
+// partition becomes one map task dispatched through the driver's task
+// dispatcher (dispatch.go), like a stage task; the executor runs the
+// shipped pipeline over it, splits the output by key hash
+// (engine.ShuffleSplit, whose bucket assignment is relation.Row.Bucket
+// — the same authority Relation.PartitionByKey uses), and pushes every bucket directly to the partition's owner,
 // never through the driver, so bytes-on-wire scale with the data
 // (O(rows)) instead of with executors × build-side as broadcast does.
 // Barrier: the driver asks every executor which map sources its owned
@@ -89,20 +89,11 @@ type shuffleSession struct {
 	opsWire []engine.OpDesc
 	tables  []tableMsg
 
-	stats *engine.StatsCollector
-
-	encMu    sync.Mutex
-	encParts [][]byte
+	stats  *engine.StatsCollector
+	inputs *partEncoder // map inputs, encoded once across every map round
 
 	ctrlMu sync.Mutex
 	ctrl   map[string]*conn
-
-	// harvested tracks how much of each connection's byte counters has
-	// already been folded into stats, so harvest can run both before the
-	// stats snapshot (live control conns) and again at free() without
-	// double-counting.
-	hMu       sync.Mutex
-	harvested map[*conn][2]int64
 }
 
 // newShuffleSession validates the plan and prepares the map-stage
@@ -136,9 +127,8 @@ func (d *Driver) newShuffleSession(rel *relation.Relation, ops []engine.OpDesc, 
 		endpoints: d.shufflePeers(),
 		rel:       rel,
 		stats:     stats,
-		encParts:  make([][]byte, len(rel.Partitions)),
+		inputs:    d.newPartEncoder(rel, stats),
 		ctrl:      map[string]*conn{},
-		harvested: map[*conn][2]int64{},
 	}
 	if len(ops) > 0 {
 		ss.fp, ss.opsWire, ss.tables, err = d.stageWire(rel.Schema, ops)
@@ -200,46 +190,6 @@ func (ss *shuffleSession) ensureBegin(c *conn, addrIdx int) error {
 	return nil
 }
 
-// encodedPartition caches the columnar encoding of map input pi.
-func (ss *shuffleSession) encodedPartition(pi int) ([]byte, error) {
-	ss.encMu.Lock()
-	if b := ss.encParts[pi]; b != nil {
-		ss.encMu.Unlock()
-		return b, nil
-	}
-	ss.encMu.Unlock()
-	start := time.Now()
-	b, err := colcodec.Encode(ss.rel.Schema, ss.rel.Partitions[pi], colcodec.Options{Compress: ss.d.Compress, Level: ss.d.CompressLevel})
-	if err != nil {
-		return nil, err
-	}
-	ss.stats.EncodeNs.Add(int64(time.Since(start)))
-	ss.encMu.Lock()
-	if ss.encParts[pi] == nil {
-		ss.encParts[pi] = b
-	} else {
-		b = ss.encParts[pi]
-	}
-	ss.encMu.Unlock()
-	return b, nil
-}
-
-// harvest folds one connection's byte counters into the session stats.
-// Delta-based and idempotent: only bytes not yet harvested are added,
-// so finishStats can fold live control connections in before the
-// snapshot and free() can harvest the same conns again afterwards.
-func (ss *shuffleSession) harvest(c *conn) {
-	ss.hMu.Lock()
-	prev := ss.harvested[c]
-	dw, dr := c.count.written-prev[0], c.count.read-prev[1]
-	ss.harvested[c] = [2]int64{c.count.written, c.count.read}
-	ss.hMu.Unlock()
-	ss.stats.BytesSent.Add(dw)
-	ss.stats.BytesRecv.Add(dr)
-	mBytesSent.Add(dw)
-	mBytesRecv.Add(dr)
-}
-
 // harvestCtrl folds the live control connections' counters into stats
 // (they stay open for free()).
 func (ss *shuffleSession) harvestCtrl() {
@@ -250,7 +200,7 @@ func (ss *shuffleSession) harvestCtrl() {
 	}
 	ss.ctrlMu.Unlock()
 	for _, c := range conns {
-		ss.harvest(c)
+		harvestBytes(ss.stats, c)
 	}
 }
 
@@ -262,101 +212,6 @@ func (ss *shuffleSession) addrIdx(addr string) int {
 		}
 	}
 	return 0
-}
-
-// mapRun is the retrying work queue of one map round. A slimmer
-// stageRun: no speculation, no admission control, no result payloads —
-// map results are counters, the data went to the peers.
-type mapRun struct {
-	ss *shuffleSession
-
-	mu       sync.Mutex
-	work     chan int
-	closed   bool
-	pending  int
-	done     []bool
-	attempts []int
-	epoch    []int
-	firstErr error
-	cancel   context.CancelFunc
-}
-
-func (mr *mapRun) finished() bool {
-	mr.mu.Lock()
-	defer mr.mu.Unlock()
-	return mr.closed
-}
-
-func (mr *mapRun) closeWorkLocked() {
-	if !mr.closed {
-		mr.closed = true
-		close(mr.work)
-	}
-}
-
-func (mr *mapRun) fail(err error) {
-	mr.mu.Lock()
-	if mr.firstErr == nil {
-		mr.firstErr = err
-	}
-	mr.closeWorkLocked()
-	mr.mu.Unlock()
-	mr.cancel()
-}
-
-// dispatch registers one launch of map task pi and returns its epoch.
-func (mr *mapRun) dispatch(pi int) (int, bool) {
-	mr.mu.Lock()
-	defer mr.mu.Unlock()
-	if mr.closed || mr.done[pi] {
-		return 0, false
-	}
-	mr.epoch[pi]++
-	return mr.epoch[pi], true
-}
-
-// commit records a completed map task; the first completion wins
-// (pushes deduplicate receiver-side by (partition, source)).
-func (mr *mapRun) commit(pi int, ack *shuffleMapAck) {
-	mr.mu.Lock()
-	if mr.done[pi] || mr.closed {
-		mr.mu.Unlock()
-		return
-	}
-	mr.done[pi] = true
-	mr.pending--
-	finished := mr.pending == 0
-	if finished {
-		mr.closeWorkLocked()
-	}
-	mr.mu.Unlock()
-	mr.ss.stats.Tasks.Add(1)
-	mr.ss.stats.ShuffleBytesPushed.Add(ack.PushedBytes)
-	if finished {
-		mr.cancel()
-	}
-}
-
-// abandon requeues a failed launch, or fails the round when the retry
-// budget is gone.
-func (mr *mapRun) abandon(pi int, cause error, addr string) {
-	mr.mu.Lock()
-	if mr.done[pi] || mr.closed {
-		mr.mu.Unlock()
-		return
-	}
-	mr.attempts[pi]++
-	attempts := mr.attempts[pi]
-	tooMany := attempts > mr.ss.d.retries()
-	if !tooMany {
-		mr.work <- pi
-	}
-	mr.mu.Unlock()
-	mr.ss.stats.Retries.Add(1)
-	mRetries.Inc()
-	if tooMany {
-		mr.fail(fmt.Errorf("cluster: shuffle map %d failed %d times (last on %s): %w", pi, attempts, addr, cause))
-	}
 }
 
 // open begins the shuffle on every executor before any map task is
@@ -380,7 +235,11 @@ func (ss *shuffleSession) open(ctx context.Context) error {
 }
 
 // runMaps opens the shuffle everywhere, then dispatches the given map
-// tasks and blocks until all committed or the round failed.
+// tasks through the driver's task dispatcher and blocks until all
+// committed or the round failed. Map rounds run without speculation —
+// concurrent duplicate pushes of one map source are not chaos-tested —
+// and without admission control (map acks carry no memory-pressure
+// signal).
 func (ss *shuffleSession) runMaps(ctx context.Context, tasks []int) error {
 	if len(tasks) == 0 {
 		return nil
@@ -388,201 +247,65 @@ func (ss *shuffleSession) runMaps(ctx context.Context, tasks []int) error {
 	if err := ss.open(ctx); err != nil {
 		return err
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	n := len(ss.rel.Partitions)
-	mr := &mapRun{
-		ss:       ss,
-		work:     make(chan int, len(tasks)*(ss.d.retries()+2)),
-		pending:  len(tasks),
-		done:     make([]bool, n),
-		attempts: make([]int, n),
-		epoch:    make([]int, n),
-		cancel:   cancel,
-	}
-	for i := range mr.done {
-		mr.done[i] = true
-	}
+	q := ss.d.newTaskQueue(len(ss.rel.Partitions), "shuffle map", ss.stats, nil)
+	queued := make([]bool, len(ss.rel.Partitions))
 	for _, pi := range tasks {
-		mr.done[pi] = false
-		mr.work <- pi
+		queued[pi] = true
+		q.work <- pi
 	}
-
-	var wg sync.WaitGroup
-	for _, addr := range ss.d.Addrs {
-		for s := 0; s < ss.d.slots(); s++ {
-			wg.Add(1)
-			go func(addr string) {
-				defer wg.Done()
-				ss.runMapSlot(cctx, addr, mr)
-			}(addr)
-		}
-	}
-	wg.Wait()
-
-	mr.mu.Lock()
-	firstErr, pending := mr.firstErr, mr.pending
-	mr.mu.Unlock()
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if pending > 0 {
-		return fmt.Errorf("cluster: %d shuffle map task(s) undeliverable: no executor reachable", pending)
-	}
-	return nil
-}
-
-// runMapSlot owns one executor connection for the duration of a map
-// round, reconnecting with backoff like RunStage's slots.
-func (ss *shuffleSession) runMapSlot(ctx context.Context, addr string, mr *mapRun) {
-	d := ss.d
-	var c *conn
-	var stopWatch func() bool
-	closeConn := func() {
-		if c != nil {
-			if stopWatch != nil {
-				stopWatch()
-			}
-			c.close()
-			ss.harvest(c)
-			c = nil
-		}
-	}
-	defer closeConn()
-
-	fails := 0
-	dialed := false
-	for {
-		if ctx.Err() != nil || mr.finished() {
-			return
-		}
-		if c == nil {
-			if fails > 0 {
-				if !sleepCtx(ctx, d.backoff(fails)) {
-					return
-				}
-			}
-			nc, err := d.connect(ctx, addr)
-			if err != nil {
-				fails++
-				if fails >= d.slotFailureLimit() {
-					return
-				}
-				continue
-			}
-			c = nc
-			stopWatch = context.AfterFunc(ctx, func() { nc.close() })
-			if dialed || fails > 0 {
-				ss.stats.Reconnects.Add(1)
-				mReconnects.With(addr).Inc()
-			}
-			dialed = true
-		}
-		var pi int
-		var ok bool
-		select {
-		case <-ctx.Done():
-			return
-		case pi, ok = <-mr.work:
-			if !ok {
-				return
-			}
-		}
-		ep, ok := mr.dispatch(pi)
+	for pi, ok := range queued {
 		if !ok {
-			continue
-		}
-		err := ss.sendMap(c, mr, addr, pi, ep)
-		if err == nil {
-			fails = 0
-			continue
-		}
-		if tf, isTF := err.(*taskFailure); isTF && tf.taskErr != nil {
-			fails = 0
-			if tf.retryable || tf.panicked {
-				mr.abandon(pi, tf.taskErr, addr)
-			} else {
-				mr.fail(tf.taskErr)
-				return
-			}
-			continue
-		}
-		if isTimeout(err) {
-			ss.stats.DeadlineHits.Add(1)
-			mDeadlineHits.Inc()
-		}
-		mr.abandon(pi, err, addr)
-		closeConn()
-		fails++
-		if fails >= d.slotFailureLimit() {
-			return
+			q.skip(pi, nil)
 		}
 	}
+	return ss.d.runQueue(ctx, q, ss.sendMap, false)
 }
 
-// sendMap runs one map-task round trip: begin and stage shipments as
-// needed, then the task frame and its ack.
-func (ss *shuffleSession) sendMap(c *conn, mr *mapRun, addr string, pi, epoch int) error {
-	d := ss.d
-	started := time.Now()
-	if tt := d.taskTimeout(); tt > 0 {
+// sendMap is the map round trip: begin and stage shipments as needed,
+// then the task frame and its ack. The data went to the peers; a
+// winning commit only counts the task and its pushed bytes.
+func (ss *shuffleSession) sendMap(c *conn, addr string, pi, epoch int) (store func(), pressured bool, err error) {
+	if tt := ss.d.taskTimeout(); tt > 0 {
 		_ = c.raw.SetDeadline(time.Now().Add(tt))
 		defer func() { _ = c.raw.SetDeadline(time.Time{}) }()
 	}
 	if err := ss.ensureBegin(c, ss.addrIdx(addr)); err != nil {
-		return err
+		return nil, false, err
 	}
-	if ss.fp != 0 && !c.sentStages[ss.fp] {
-		msg := stageMsg{Fingerprint: ss.fp, Schema: ss.rel.Schema, Ops: ss.opsWire}
-		for _, tbl := range ss.tables {
-			if !c.sentTables[tbl.Hash] {
-				msg.Tables = append(msg.Tables, tbl)
-			}
+	if ss.fp != 0 {
+		if err := shipStage(c, ss.stats, ss.fp, ss.rel.Schema, ss.opsWire, ss.tables); err != nil {
+			return nil, false, err
 		}
-		if err := c.enc.Encode(frameHdr{Kind: frameStage}); err != nil {
-			return &taskFailure{ioErr: err}
-		}
-		if err := c.enc.Encode(msg); err != nil {
-			return &taskFailure{ioErr: err}
-		}
-		c.sentStages[ss.fp] = true
-		for _, tbl := range msg.Tables {
-			c.sentTables[tbl.Hash] = true
-		}
-		ss.stats.StagesShipped.Add(1)
-		mStagesShipped.Inc()
 	}
-	data, err := ss.encodedPartition(pi)
+	data, err := ss.inputs.get(pi)
 	if err != nil {
-		return &taskFailure{taskErr: fmt.Errorf("cluster: shuffle map %d: encode partition: %w", pi, err)}
+		return nil, false, &taskFailure{taskErr: fmt.Errorf("cluster: shuffle map %d: encode partition: %w", pi, err)}
 	}
 	task := shuffleMapMsg{ID: uint64(pi), Epoch: uint64(epoch), Shuffle: ss.id, Stage: ss.fp, Data: data}
 	if err := c.enc.Encode(frameHdr{Kind: frameShuffleMap}); err != nil {
-		return &taskFailure{ioErr: err}
+		return nil, false, &taskFailure{ioErr: err}
 	}
 	if err := c.enc.Encode(task); err != nil {
-		return &taskFailure{ioErr: err}
+		return nil, false, &taskFailure{ioErr: err}
 	}
 	var ack shuffleMapAck
 	if err := c.dec.Decode(&ack); err != nil {
-		return &taskFailure{ioErr: err}
+		return nil, false, &taskFailure{ioErr: err}
 	}
 	if ack.Err != "" {
-		return &taskFailure{
+		return nil, false, &taskFailure{
 			taskErr:   fmt.Errorf("cluster: shuffle map %d: %s", pi, ack.Err),
 			retryable: ack.Retryable,
 			panicked:  ack.Panicked,
 		}
 	}
 	if ack.ID != uint64(pi) || ack.Epoch != uint64(epoch) {
-		return &taskFailure{ioErr: fmt.Errorf("cluster: shuffle map id/epoch mismatch: sent %d/%d got %d/%d", pi, epoch, ack.ID, ack.Epoch)}
+		return nil, false, &taskFailure{ioErr: fmt.Errorf("cluster: shuffle map id/epoch mismatch: sent %d/%d got %d/%d", pi, epoch, ack.ID, ack.Epoch)}
 	}
-	mr.commit(pi, &ack)
-	engine.ObserveTask("cluster", time.Since(started))
-	return nil
+	return func() {
+		ss.stats.Tasks.Add(1)
+		ss.stats.ShuffleBytesPushed.Add(ack.PushedBytes)
+	}, false, nil
 }
 
 // ctrlConn returns (dialing on demand) the session's control
@@ -600,7 +323,7 @@ func (ss *shuffleSession) ctrlConn(ctx context.Context, addr string) (*conn, err
 	}
 	if err := ss.ensureBegin(nc, ss.addrIdx(addr)); err != nil {
 		nc.close()
-		ss.harvest(nc)
+		harvestBytes(ss.stats, nc)
 		return nil, err
 	}
 	ss.ctrlMu.Lock()
@@ -613,7 +336,7 @@ func (ss *shuffleSession) ctrlConn(ctx context.Context, addr string) (*conn, err
 	c = ss.ctrl[addr]
 	ss.ctrlMu.Unlock()
 	nc.close()
-	ss.harvest(nc)
+	harvestBytes(ss.stats, nc)
 	return c, nil
 }
 
@@ -625,7 +348,7 @@ func (ss *shuffleSession) dropCtrl(addr string) {
 	ss.ctrlMu.Unlock()
 	if c != nil {
 		c.close()
-		ss.harvest(c)
+		harvestBytes(ss.stats, c)
 	}
 }
 
@@ -886,7 +609,7 @@ func (ss *shuffleSession) free() {
 			}
 		}
 		c.close()
-		ss.harvest(c)
+		harvestBytes(ss.stats, c)
 	}
 }
 

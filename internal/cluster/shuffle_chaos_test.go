@@ -27,12 +27,19 @@ func shuffleChaosWant(t *testing.T, ctx context.Context, rel *relation.Relation,
 }
 
 // peerProxyCluster starts a 2-executor cluster and a chaos proxy on the
-// PEER link to executor 1: the driver talks to both executors directly,
-// but executor-to-executor pushes bound for executor 1 traverse the
-// proxy (ShufflePeers overrides only the endpoint map the executors
-// dial each other with).
+// PEER link to executor 1: executor-to-executor pushes bound for
+// executor 1 traverse the proxy (ShufflePeers overrides only the
+// endpoint map the executors dial each other with).
+//
+// Only executor 0's map tasks push through that proxy — executor 1
+// commits its own partitions locally — so executor 1's driver link runs
+// through a second, delaying proxy: its slot needs several round trips
+// of taskLinkLatency per map task, and executor 0's slot takes map tasks
+// in the meantime. Without it, a loaded scheduler could let executor 1
+// run every map task and the scripted fault would never meet a push.
 func peerProxyCluster(t *testing.T, ctx context.Context) (drv *Driver, proxy *faultproxy.Proxy, cleanup func()) {
 	t.Helper()
+	const taskLinkLatency = 100 * time.Millisecond
 	addrs, stop, err := StartLocalCluster(ctx, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -42,14 +49,32 @@ func peerProxyCluster(t *testing.T, ctx context.Context) (drv *Driver, proxy *fa
 		stop()
 		t.Fatal(err)
 	}
+	slow, err := faultproxy.New(addrs[1])
+	if err != nil {
+		proxy.Close()
+		stop()
+		t.Fatal(err)
+	}
+	plan := faultproxy.Passthrough()
+	plan.Latency = taskLinkLatency
+	slow.SetPlan(plan)
 	drv = &Driver{
-		Addrs:              addrs,
+		Addrs:              []string{addrs[0], slow.Addr()},
 		ShufflePeers:       []string{addrs[0], proxy.Addr()},
 		ShufflePushTimeout: 300 * time.Millisecond,
 		MaxRetries:         8,
 		ReconnectBase:      10 * time.Millisecond,
 	}
-	return drv, proxy, func() { proxy.Close(); stop() }
+	return drv, proxy, func() { slow.Close(); proxy.Close(); stop() }
+}
+
+// mustHaveFaulted fails the test unless the proxy's Once fault met a
+// connection — otherwise a passing run proves nothing about recovery.
+func mustHaveFaulted(t *testing.T, proxy *faultproxy.Proxy) {
+	t.Helper()
+	if !proxy.Consumed() {
+		t.Fatal("no push crossed the faulty peer link: the scripted fault never fired")
+	}
 }
 
 // TestChaosShufflePeerSevered: the peer stream to executor 1 dies
@@ -75,6 +100,7 @@ func TestChaosShufflePeerSevered(t *testing.T) {
 		t.Fatalf("severed peer stream aborted the stage: %v", err)
 	}
 	mustSamePartitioned(t, "severed peer", want, got)
+	mustHaveFaulted(t, proxy)
 	if st.Retries == 0 {
 		t.Fatalf("severed push must retry the map task, stats = %+v", st)
 	}
@@ -102,6 +128,7 @@ func TestChaosShufflePeerHung(t *testing.T) {
 		t.Fatalf("hung peer stream aborted the stage: %v", err)
 	}
 	mustSamePartitioned(t, "hung peer", want, got)
+	mustHaveFaulted(t, proxy)
 	if st.Retries == 0 {
 		t.Fatalf("hung push must retry the map task, stats = %+v", st)
 	}
@@ -129,6 +156,7 @@ func TestChaosShufflePeerCorrupted(t *testing.T) {
 		t.Fatalf("corrupted peer stream aborted the stage: %v", err)
 	}
 	mustSamePartitioned(t, "corrupted peer", want, got)
+	mustHaveFaulted(t, proxy)
 	if st.Retries == 0 {
 		t.Fatalf("corrupted push must retry the map task, stats = %+v", st)
 	}

@@ -423,3 +423,39 @@ func TestClusterDistributedJoinPicksShuffle(t *testing.T) {
 		t.Fatal("broadcast and shuffle plans disagree on a cluster executor")
 	}
 }
+
+// TestShuffleBytesHarvestedOnce: a shuffle's Stats carry nonzero bytes
+// in both directions, and free() — which harvests the control
+// connections again after the stats snapshot — adds only the bytes of
+// its own free frames to the byte counters, never the control traffic
+// a second time.
+func TestShuffleBytesHarvestedOnce(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	addrs, stop, err := StartLocalCluster(ctx, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	drv := &Driver{Addrs: addrs}
+
+	sent0, recv0 := mBytesSent.Value(), mBytesRecv.Value()
+	_, st, err := drv.ShuffleMaterialize(ctx, keyedRel(2000, 4), nil, []string{"k"}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.BytesSent == 0 || st.BytesRecv == 0 {
+		t.Fatalf("shuffle moved no bytes: %+v", st)
+	}
+	// free() runs after the snapshot: one shuffleFree frame and ack per
+	// control connection, a few dozen bytes each.
+	const freeSlack = 256
+	dSent, dRecv := mBytesSent.Value()-sent0, mBytesRecv.Value()-recv0
+	t.Logf("stats sent/recv %d/%d, counters %d/%d", st.BytesSent, st.BytesRecv, dSent, dRecv)
+	if dSent < st.BytesSent || dSent-st.BytesSent > freeSlack*int64(len(addrs)) {
+		t.Fatalf("bytes sent: counter delta %d vs stats %d", dSent, st.BytesSent)
+	}
+	if dRecv < st.BytesRecv || dRecv-st.BytesRecv > freeSlack*int64(len(addrs)) {
+		t.Fatalf("bytes recv: counter delta %d vs stats %d", dRecv, st.BytesRecv)
+	}
+}
